@@ -491,11 +491,11 @@ fn bench_noc() {
 /// that skip-ahead actually engaged on the idle-heavy schedule.
 fn noc_scale() {
     use hic_noc::reference::{bursty_schedule, schedule_hybrid};
-    use hic_noc::{HybridConfig, HybridNetwork, Mesh, NocConfig, RecordMode};
+    use hic_noc::{HybridNetwork, Mesh, NocConfig, RecordMode};
     let mesh = Mesh::new(64, 64);
     let cfg = NocConfig::paper_default(mesh);
     let schedule = bursty_schedule(mesh, 0.1, 16, cfg.flit_payload, 4, 10_000, 20_000, 0x5CA1E);
-    let mut net = HybridNetwork::with_config(cfg, HybridConfig::default());
+    let mut net = HybridNetwork::new(cfg);
     net.set_record_mode(RecordMode::Stats);
     schedule_hybrid(&mut net, &schedule, 16);
     let t = std::time::Instant::now();
@@ -508,7 +508,7 @@ fn noc_scale() {
     println!("== noc-scale: 64x64 hybrid smoke ==");
     println!(
         "cycles {} (stepped {}, skipped {}), delivered {}, forwarded flits {}, {:.2}s wall \
-         ({:.0} cyc/s), parallel={}",
+         ({:.0} cyc/s)",
         net.cycle(),
         skip.stepped_cycles,
         skip.skipped_cycles,
@@ -516,7 +516,6 @@ fn noc_scale() {
         m.forwarded_flits,
         secs,
         net.cycle() as f64 / secs.max(1e-9),
-        net.is_parallel(),
     );
     assert!(net.is_drained());
     assert_eq!(

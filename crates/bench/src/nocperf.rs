@@ -10,7 +10,7 @@
 use hic_noc::reference::{
     bursty_schedule, drive_schedule, schedule_hybrid, uniform_schedule, ReferenceNetwork,
 };
-use hic_noc::{HybridConfig, HybridNetwork, Mesh, NetMetrics, Network, NocConfig, RecordMode};
+use hic_noc::{HybridNetwork, Mesh, NetMetrics, Network, NocConfig, RecordMode};
 use hic_obs::trace::{Category, Tracer};
 use serde::Serialize;
 use std::time::Instant;
@@ -704,7 +704,7 @@ pub fn measure_hybrid(repeats: u32) -> Vec<NocHybridPoint> {
         let mut stepped = 0u64;
         for _ in 0..repeats {
             // Hybrid engine: calendar injection + next-event skip-ahead.
-            let mut hy = HybridNetwork::with_config(cfg, HybridConfig::default());
+            let mut hy = HybridNetwork::new(cfg);
             hy.set_record_mode(RecordMode::Stats);
             schedule_hybrid(&mut hy, &schedule, 16);
             let t = Instant::now();

@@ -396,19 +396,7 @@ fn cache_opts(args: &[String]) -> CacheOpts {
 }
 
 /// Parse a command line (without the program name).
-///
-/// The global `--engine {step,hybrid,auto}` flag is applied here as the
-/// process-wide NoC engine preference (see [`hic_sim::set_engine`]): any
-/// command that reaches a co-simulation — report, dse, batch, top, trace
-/// — picks it up, and it deliberately stays out of artifact cache keys
-/// because the engines are cycle-exact with each other.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    if let Some(v) = flag_value(args, "--engine") {
-        let kind: hic_sim::EngineKind = v
-            .parse()
-            .map_err(|e: String| CliError::Usage(format!("bad --engine: {e}")))?;
-        hic_sim::set_engine(kind);
-    }
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
         "design" => {
@@ -768,12 +756,6 @@ HEATMAP:
 CACHE (design, profile, report, heatmap, dse, batch, serve):
   --cache-dir <dir>   artifact store root (default .hic-cache, or HIC_CACHE_DIR)
   --no-cache          skip cache reads; results are still published
-
-ENGINE (any command that co-simulates: report, heatmap, dse, batch, top, trace):
-  --engine step|hybrid|auto   NoC engine: 'step' pins the sequential
-  cycle stepper, 'hybrid' forces event-driven skip-ahead + partitioned
-  parallel stepping, 'auto' (default) engages parallelism by mesh size.
-  All engines are cycle-exact; only wall-clock speed differs.
 
 TRACE:
   records a flight-recorder event trace (hic-trace/v1) and writes Chrome
@@ -2309,21 +2291,6 @@ mod tests {
         let f = dispatch(&argv("frobnicate")).unwrap_err();
         assert_eq!(f.exit_code, 2);
         assert!(f.show_usage);
-    }
-
-    #[test]
-    fn engine_flag_sets_preference_and_rejects_unknown() {
-        let f = dispatch(&argv("help --engine warp")).unwrap_err();
-        assert_eq!(f.exit_code, 2);
-        assert!(f.message.contains("bad --engine"), "{}", f.message);
-        // A valid value is applied as the process-wide preference. This
-        // may race other tests' cosim runs, which is safe by design: the
-        // engines are cycle-exact, so results cannot differ.
-        assert!(dispatch(&argv("help --engine step"))
-            .unwrap()
-            .contains("USAGE"));
-        assert_eq!(hic_sim::engine(), hic_sim::EngineKind::Step);
-        hic_sim::set_engine(hic_sim::EngineKind::Auto);
     }
 
     #[test]

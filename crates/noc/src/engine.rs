@@ -1,5 +1,5 @@
 //! The hybrid event-driven engine: next-event skip-ahead over quiescent
-//! regions plus partitioned parallel stepping for big meshes.
+//! regions, single-threaded.
 //!
 //! # Next-event invariant
 //!
@@ -12,13 +12,13 @@
 //! only legally skippable regions are *quiescent* ones — no flits
 //! buffered, no injections pending — where the next observable event is
 //! the earliest scheduled future injection. [`HybridNetwork::run_to`]
-//! exploits exactly that: while traffic is live it steps (delegating to
-//! the sequential or partitioned stepper), and the moment the mesh drains
-//! it jumps the clock in one hop to the earliest calendar bucket (or the
-//! run target, whichever is sooner). Cost thus scales with *events*
-//! (injections and live cycles), not with wall-clock cycles × routers —
-//! on idle-heavy schedules, the common case in profiled kernel graphs
-//! where compute dominates, nearly all cycles collapse into jumps.
+//! exploits exactly that: while traffic is live it steps with
+//! [`Network::step`], and the moment the mesh drains it jumps the clock
+//! in one hop to the earliest calendar bucket (or the run target,
+//! whichever is sooner). Cost thus scales with *events* (injections and
+//! live cycles), not with wall-clock cycles × routers — on idle-heavy
+//! schedules, the common case in profiled kernel graphs where compute
+//! dominates, nearly all cycles collapse into jumps.
 //!
 //! # Calendar layout
 //!
@@ -31,17 +31,7 @@
 //! ring-of-buckets calendar (classic calendar queue) was considered and
 //! rejected: idle-heavy schedules are sparse and jumps are arbitrary
 //! length, so the ordered index beats scanning ring slots across wraps.
-//!
-//! # Partition handoff
-//!
-//! For meshes at or above the parallel threshold the live-cycle stepper
-//! is [`Network::step_partitioned`]: row strips decide concurrently
-//! against the shared pre-move snapshot, apply their own moves, and buffer
-//! every cross-strip push as a handoff event that the coordinator applies
-//! in ascending strip order — byte-identical to the sequential stepper
-//! for any worker count (see `network/parallel.rs` for the argument).
 
-use crate::network::parallel::PartitionPlan;
 use crate::network::{DeliveredPacket, DrainTimeout, NetMetrics, Network, NocConfig, RecordMode};
 use crate::topology::Coord;
 use crate::PacketId;
@@ -49,53 +39,35 @@ use hic_obs::trace::Tracer;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Which stepping core a caller wants (the CLI's `--engine` flag).
+/// Engine names kept only for existing readers: both kinds run the same
+/// single-threaded skip-ahead [`HybridNetwork`], so results and speed
+/// are identical whichever is passed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// The cycle stepper: every cycle is simulated, drained gaps are
-    /// jumped only when the caller does so explicitly. The pre-hybrid
-    /// behaviour, kept selectable for A/B runs.
+    /// The skip-ahead engine (the same engine as [`EngineKind::Auto`]).
     Step,
-    /// The hybrid event-driven engine: skip-ahead over quiescent regions
-    /// and partitioned parallel stepping on big meshes.
-    Hybrid,
-    /// Pick per mesh: hybrid skip-ahead everywhere (it is never slower —
-    /// it degenerates to the stepper under continuous load), partitioned
-    /// stepping only where the mesh is big enough to amortize the scopes.
+    /// The skip-ahead engine (the same engine as [`EngineKind::Step`]).
     #[default]
     Auto,
 }
 
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "step" => Ok(EngineKind::Step),
-            "hybrid" => Ok(EngineKind::Hybrid),
-            "auto" => Ok(EngineKind::Auto),
-            other => Err(format!("unknown engine '{other}' (step|hybrid|auto)")),
-        }
-    }
-}
-
-/// Tuning for [`HybridNetwork`].
+/// Engine tuning kept only for existing readers: nothing in the engine
+/// reads it. [`Default`] reports what the engine does — every live cycle
+/// runs on one thread (`jobs: 1`) and no mesh size switches that
+/// (`parallel_threshold: usize::MAX`).
 #[derive(Debug, Clone, Copy)]
 pub struct HybridConfig {
-    /// Worker threads for partitioned stepping; `1` keeps every live
-    /// cycle on the sequential stepper.
+    /// Threads stepping live cycles; always 1.
     pub jobs: usize,
-    /// Minimum router count before partitioned stepping engages — below
-    /// it the per-cycle scope setup costs more than the mesh.
+    /// Router count at which stepping would go parallel; never reached.
     pub parallel_threshold: usize,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
-            jobs: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
-            parallel_threshold: 1024,
+            jobs: 1,
+            parallel_threshold: usize::MAX,
         }
     }
 }
@@ -153,17 +125,13 @@ struct SkipGauges {
 }
 
 /// The hybrid event-driven NoC engine: a [`Network`] plus an injection
-/// calendar, next-event skip-ahead, and (for big meshes) partitioned
-/// parallel stepping. Cycle-exact with the stepper and the reference by
-/// construction — skipped regions are exactly the regions where nothing
-/// could have moved.
+/// calendar and next-event skip-ahead. Cycle-exact with the stepper and
+/// the reference by construction — skipped regions are exactly the
+/// regions where nothing could have moved.
 #[derive(Debug)]
 pub struct HybridNetwork {
     net: Network,
     cal: Calendar,
-    plan: PartitionPlan,
-    jobs: usize,
-    parallel: bool,
     skips: u64,
     skipped_cycles: u64,
     stepped_cycles: u64,
@@ -171,23 +139,11 @@ pub struct HybridNetwork {
 }
 
 impl HybridNetwork {
-    /// Build an idle hybrid engine with default tuning.
+    /// Build an idle hybrid engine.
     pub fn new(cfg: NocConfig) -> Self {
-        Self::with_config(cfg, HybridConfig::default())
-    }
-
-    /// Build an idle hybrid engine with explicit tuning.
-    pub fn with_config(cfg: NocConfig, hc: HybridConfig) -> Self {
-        // Strip count scales with the worker pool (4 strips per worker so
-        // the ready-deque can rebalance) but is capped by the row count.
-        let plan = PartitionPlan::rows(cfg.mesh, hc.jobs.max(1) * 4);
-        let parallel = hc.jobs > 1 && cfg.mesh.len() >= hc.parallel_threshold && plan.len() > 1;
         HybridNetwork {
             net: Network::new(cfg),
             cal: Calendar::default(),
-            plan,
-            jobs: hc.jobs.max(1),
-            parallel,
             skips: 0,
             skipped_cycles: 0,
             stepped_cycles: 0,
@@ -226,13 +182,9 @@ impl HybridNetwork {
         }
     }
 
-    /// One simulated cycle on the selected stepper.
+    /// One simulated cycle.
     fn step_live(&mut self) {
-        if self.parallel {
-            self.net.step_partitioned(&self.plan, self.jobs);
-        } else {
-            self.net.step();
-        }
+        self.net.step();
         self.stepped_cycles += 1;
     }
 
@@ -318,11 +270,6 @@ impl HybridNetwork {
         self.cal.len
     }
 
-    /// Whether live cycles run on the partitioned parallel stepper.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// Current cycle count.
     pub fn cycle(&self) -> u64 {
         self.net.cycle()
@@ -375,8 +322,7 @@ impl HybridNetwork {
         self.net.flush_spatial_window();
     }
 
-    /// Route packet-lifecycle events to `tracer`. Tracing forces live
-    /// cycles onto the sequential stepper so per-hop events stay ordered.
+    /// Route packet-lifecycle events to `tracer`.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.net.attach_tracer(tracer);
     }
@@ -419,17 +365,10 @@ mod tests {
         NocConfig::paper_default(Mesh::new(side, side))
     }
 
-    fn seq() -> HybridConfig {
-        HybridConfig {
-            jobs: 1,
-            parallel_threshold: usize::MAX,
-        }
-    }
-
     #[test]
     fn skip_ahead_jumps_quiescent_regions_in_one_hop() {
         let c = cfg(4);
-        let mut h = HybridNetwork::with_config(c, seq());
+        let mut h = HybridNetwork::new(c);
         let mesh = c.mesh;
         h.send_at(10_000, mesh.coord(0), mesh.coord(15), 64);
         h.run_until_drained(100_000).expect("drains");
@@ -447,7 +386,7 @@ mod tests {
     #[test]
     fn run_to_stops_exactly_at_target_and_saturates_past_sends() {
         let c = cfg(4);
-        let mut h = HybridNetwork::with_config(c, seq());
+        let mut h = HybridNetwork::new(c);
         let mesh = c.mesh;
         h.run_to(500);
         assert_eq!(h.cycle(), 500);
@@ -462,7 +401,7 @@ mod tests {
     #[test]
     fn calendar_preserves_same_cycle_insertion_order() {
         let c = cfg(4);
-        let mut h = HybridNetwork::with_config(c, seq());
+        let mut h = HybridNetwork::new(c);
         let mesh = c.mesh;
         for k in 0..5 {
             h.send_at(50, mesh.coord(k), mesh.coord(15 - k), 16);
@@ -480,20 +419,12 @@ mod tests {
     #[test]
     fn drain_budget_counts_stepped_not_skipped_cycles() {
         let c = cfg(4);
-        let mut h = HybridNetwork::with_config(c, seq());
+        let mut h = HybridNetwork::new(c);
         let mesh = c.mesh;
         // A send a billion cycles out: free to skip to, so a small
         // stepped-cycle budget still suffices.
         h.send_at(1_000_000_000, mesh.coord(0), mesh.coord(5), 8);
         h.run_until_drained(1_000).expect("skip makes this cheap");
         assert!(h.cycle() > 1_000_000_000);
-    }
-
-    #[test]
-    fn engine_kind_parses() {
-        assert_eq!("step".parse::<EngineKind>(), Ok(EngineKind::Step));
-        assert_eq!("hybrid".parse::<EngineKind>(), Ok(EngineKind::Hybrid));
-        assert_eq!("auto".parse::<EngineKind>(), Ok(EngineKind::Auto));
-        assert!("fast".parse::<EngineKind>().is_err());
     }
 }

@@ -14,8 +14,7 @@
 //!   zero-allocation fast path (active-router set, slab packet tracking,
 //!   streaming statistics) proven cycle-exact against [`reference`].
 //! * [`engine`] — the hybrid event-driven engine: an injection calendar
-//!   with next-event skip-ahead over quiescent regions, and partitioned
-//!   work-stealing parallel stepping for big meshes. Cycle-exact with
+//!   with next-event skip-ahead over quiescent regions. Cycle-exact with
 //!   [`network`] and [`reference`].
 //! * [`reference`] — the original straightforward stepper, kept as the
 //!   executable specification the fast path is property-tested against.
@@ -48,7 +47,6 @@ pub use adapter::{AdapterKind, AdapterSpec};
 pub use engine::{EngineKind, HybridConfig, HybridNetwork, SkipStats};
 pub use flit::{Flit, FlitKind, Packet, PacketId};
 pub use latency::LatencyModel;
-pub use network::parallel::PartitionPlan;
 pub use network::{
     DeliveredPacket, DrainTimeout, FlowTotals, IdleJumpError, LinkRef, NetMetrics, Network,
     NocConfig, NocStats, RecordMode, SpatialConfig, SpatialWindow,

@@ -54,8 +54,6 @@
 // naturally than iterator chains here.
 #![allow(clippy::needless_range_loop)]
 
-pub mod parallel;
-
 use crate::flit::{Flit, FlitKind, Packet, PacketId};
 use crate::router::{OutputLock, WrrArbiter, PORTS};
 use crate::topology::{Coord, Direction, Mesh, Routing};
@@ -83,7 +81,7 @@ fn unpack_move(pm: u8) -> (usize, usize, bool) {
 /// The moves one router decided this cycle, packed small so the decide →
 /// apply hand-off copies 12 bytes per router instead of a full `MoveSet`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedMoves {
+struct PackedMoves {
     router: u32,
     n: u8,
     moves: [u8; PORTS],
@@ -364,7 +362,8 @@ impl SpatialConfig {
 
 /// Per-(source, destination) traffic totals, keyed by router coordinates
 /// and accumulated on the shared injection/delivery paths — so the map is
-/// identical across the sequential, partitioned, and hybrid engines.
+/// identical whether the network is stepped directly or driven by the
+/// hybrid engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowTotals {
     /// Packets injected.
@@ -575,22 +574,20 @@ impl std::error::Error for IdleJumpError {}
 
 /// Read-only view of the state the decide phase consults: topology,
 /// routing tables, and the pre-move FIFO snapshot. One `DecideCtx` is
-/// shared by every router deciding in a cycle — sequentially in
-/// [`Network::step`], concurrently across partitions in the hybrid
-/// engine's partitioned stepper — which is what makes the snapshot
-/// semantics (“every router decides against the same pre-move state”)
-/// hold by construction in both.
-pub(crate) struct DecideCtx<'a> {
-    pub mesh: Mesh,
-    pub routing: Routing,
-    pub cap: u32,
-    pub buffer_flits: usize,
-    pub nbr: &'a [[u32; PORTS]],
-    pub coords: &'a [Coord],
-    pub port_occ: &'a [[u32; PORTS]],
-    pub occ_mask: &'a [u8],
-    pub fifo: &'a [Flit],
-    pub fifo_head: &'a [u8],
+/// shared by every router deciding in a [`Network::step`], which is what
+/// makes the snapshot semantics (“every router decides against the same
+/// pre-move state”) hold by construction.
+struct DecideCtx<'a> {
+    mesh: Mesh,
+    routing: Routing,
+    cap: u32,
+    buffer_flits: usize,
+    nbr: &'a [[u32; PORTS]],
+    coords: &'a [Coord],
+    port_occ: &'a [[u32; PORTS]],
+    occ_mask: &'a [u8],
+    fifo: &'a [Flit],
+    fifo_head: &'a [u8],
 }
 
 impl DecideCtx<'_> {
@@ -605,11 +602,11 @@ impl DecideCtx<'_> {
 
 /// Decide one router's moves for this cycle against the shared pre-move
 /// snapshot. Mutates only state owned by router `i` (its wormhole locks,
-/// arbiter credits, and FIFO high-water marks), so disjoint routers may
-/// decide concurrently. Returns `None` when the router is active but
+/// arbiter credits, and FIFO high-water marks), so the order routers
+/// decide in cannot matter. Returns `None` when the router is active but
 /// nothing can move — a stalled cycle the caller accounts for.
 #[inline(always)]
-pub(crate) fn decide_router(
+fn decide_router(
     cx: &DecideCtx<'_>,
     i: usize,
     locks: &mut [Option<OutputLock>; PORTS],
@@ -1161,8 +1158,7 @@ impl Network {
         self.occ_mask[router] |= 1 << port;
         // High-water marks are observed in the decide phase (from the
         // post-inject, pre-move snapshot) rather than here: the push-time
-        // transient depends on the order moves are applied in, which the
-        // partitioned stepper does not reproduce.
+        // transient depends on the order moves are applied in.
     }
 
     #[inline]
@@ -1359,7 +1355,7 @@ impl Network {
     /// separate up-front pass is observationally identical to the old
     /// fused inject-while-deciding walk.
     #[inline]
-    pub(crate) fn inject_pending(&mut self) {
+    fn inject_pending(&mut self) {
         let local = Direction::Local.index();
         let cap = self.cfg.buffer_flits as u32;
         for w in 0..self.active_bits.len() {
@@ -1379,9 +1375,9 @@ impl Network {
     /// Advance one cycle.
     ///
     /// An injection pass over the active bitset, then a decide pass
-    /// ([`decide_router`] per active router, shared with the partitioned
-    /// stepper), then an apply pass that moves the decided flits and
-    /// retires routers that went idle. Deciding never touches FIFOs, so
+    /// ([`decide_router`] per active router), then an apply pass that
+    /// moves the decided flits and retires routers that went idle.
+    /// Deciding never touches FIFOs, so
     /// every router decides against the pre-move state; per-router masks
     /// (`occ_mask`, `lock_mask`) keep the decide work proportional to the
     /// ports actually in use, and the downstream-space snapshot is

@@ -6,16 +6,14 @@
 //! `ejected_flits`, and the flow map's per-flow byte totals sum to exactly
 //! the bytes handed to `send`. On top of conservation, the matrices, the
 //! closed windows, and the flow map must be *byte-identical* across the
-//! step and hybrid engines and across partitioned worker counts
-//! {1, 2, 4, 7} — spatial observability is an observation, never a
-//! perturbation.
+//! step and hybrid engines — spatial observability is an observation,
+//! never a perturbation.
 
 use hic_noc::reference::{
     bursty_schedule, drive_schedule, hotspot_schedule, schedule_hybrid, uniform_schedule,
 };
 use hic_noc::{
-    Coord, Direction, FlowTotals, HybridConfig, HybridNetwork, Mesh, Network, NocConfig,
-    SpatialConfig, PORTS,
+    Coord, Direction, FlowTotals, HybridNetwork, Mesh, Network, NocConfig, SpatialConfig, PORTS,
 };
 use proptest::prelude::*;
 
@@ -98,16 +96,8 @@ fn run_step_engine(schedule: &[(u64, Coord, Coord)], packet_bytes: u64) -> Obser
     observe(&net)
 }
 
-fn run_hybrid_engine(schedule: &[(u64, Coord, Coord)], packet_bytes: u64, jobs: usize) -> Observed {
-    let mut net = HybridNetwork::with_config(
-        NocConfig::paper_default(Mesh::new(MESH, MESH)),
-        HybridConfig {
-            jobs,
-            // Zero threshold: any jobs > 1 exercises the partitioned
-            // stepper on this mesh.
-            parallel_threshold: 0,
-        },
-    );
+fn run_hybrid_engine(schedule: &[(u64, Coord, Coord)], packet_bytes: u64) -> Observed {
+    let mut net = HybridNetwork::new(NocConfig::paper_default(Mesh::new(MESH, MESH)));
     net.enable_spatial(spatial_cfg());
     schedule_hybrid(&mut net, schedule, packet_bytes);
     net.run_until_drained(2_000_000).expect("drains");
@@ -159,14 +149,8 @@ proptest! {
         prop_assert_eq!(flow_packets, schedule.len() as u64);
         prop_assert_eq!(flow_delivered, schedule.len() as u64);
 
-        // Byte-identical spatial state across the hybrid engine and every
-        // partitioned worker count.
-        for jobs in [1usize, 2, 4, 7] {
-            let hybrid = run_hybrid_engine(&schedule, packet_bytes, jobs);
-            prop_assert_eq!(
-                &baseline.bytes, &hybrid.bytes,
-                "spatial state diverged at jobs={}", jobs
-            );
-        }
+        // Byte-identical spatial state across the step and hybrid engines.
+        let hybrid = run_hybrid_engine(&schedule, packet_bytes);
+        prop_assert_eq!(&baseline.bytes, &hybrid.bytes, "spatial state diverged");
     }
 }

@@ -386,6 +386,42 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Longest request head the endpoint reads; a longer one gets a 400.
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Time a client has to deliver its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Read a request head up to and including its blank line, however many
+/// writes the client split it into. Stops early at end of stream, on a
+/// read error or at [`HEAD_DEADLINE`] and returns what arrived; returns
+/// `None` once more than [`MAX_HEAD_BYTES`] arrive without a blank line.
+fn read_head(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+    let deadline = std::time::Instant::now() + HEAD_DEADLINE;
+    let mut head = Vec::with_capacity(512);
+    let mut buf = [0u8; 1024];
+    loop {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        if left.is_zero() {
+            return Ok(Some(head));
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return Ok(Some(head)),
+            Ok(n) => n,
+        };
+        // The terminator may straddle the previous read.
+        let from = head.len().saturating_sub(3);
+        head.extend_from_slice(&buf[..n]);
+        if head[from..].windows(4).any(|w| w == b"\r\n\r\n") {
+            return Ok(Some(head));
+        }
+        if head.len() > MAX_HEAD_BYTES {
+            return Ok(None);
+        }
+    }
+}
+
 /// Read one request, write one response, close. Tolerates partial or
 /// garbage requests (responds 400) — a scrape target must never wedge
 /// on a bad client.
@@ -397,11 +433,10 @@ fn respond(
     labeled: Option<&LabeledStore>,
 ) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut buf = [0u8; 2048];
-    let n = stream.read(&mut buf).unwrap_or(0);
-    let head = String::from_utf8_lossy(&buf[..n]);
+    // An oversized head parses as an empty request line, which is a 400.
+    let head = read_head(&mut stream)?.unwrap_or_default();
+    let head = String::from_utf8_lossy(&head);
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     // HEAD is GET minus the body: same status, same headers (including
@@ -494,10 +529,11 @@ pub fn http_get_local(port: u16, path: &str) -> std::io::Result<String> {
 pub fn http_request_local(port: u16, method: &str, path: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(("127.0.0.1", port))?;
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )?;
+    // One buffer, one `write_all`: `write!` on the stream may issue a
+    // syscall per format piece.
+    let request =
+        format!("{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     let mut out = String::new();
     stream.read_to_string(&mut out)?;
     Ok(out)
@@ -715,6 +751,43 @@ mod tests {
         srv.stop();
         // After stop, connecting fails (listener closed) or is refused.
         assert!(TcpStream::connect(("127.0.0.1", srv.port())).is_err());
+    }
+
+    /// Send `parts` as separate writes with a pause after each but the
+    /// last, then return the raw response.
+    fn split_request(port: u16, parts: &[&[u8]]) -> String {
+        let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            s.write_all(part).unwrap();
+        }
+        let mut raw = String::new();
+        s.read_to_string(&mut raw).unwrap();
+        raw
+    }
+
+    #[test]
+    fn request_head_split_across_writes_is_read_whole() {
+        let mut srv = MetricsServer::start(sample_registry(), None, 0).unwrap();
+        let raw = split_request(
+            srv.port(),
+            &[b"GET /met", b"rics HTTP/1.1\r\nHost: localhost\r\n\r\n"],
+        );
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        assert!(raw.contains("hic_noc_flits_forwarded 17"), "{raw}");
+        srv.stop();
+    }
+
+    #[test]
+    fn oversized_request_head_is_a_400() {
+        let mut srv = MetricsServer::start(sample_registry(), None, 0).unwrap();
+        let head = format!("GET /{} HTTP/1.1", "a".repeat(MAX_HEAD_BYTES));
+        let raw = split_request(srv.port(), &[head.as_bytes()]);
+        assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+        srv.stop();
     }
 
     #[test]

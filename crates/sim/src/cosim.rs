@@ -21,45 +21,18 @@ use hic_core::{InterconnectPlan, Variant};
 use hic_fabric::time::Time;
 use hic_fabric::{KernelId, MemoryId};
 use hic_noc::{
-    AdapterKind, AdapterSpec, EngineKind, HybridConfig, HybridNetwork, NocNode, PacketId,
-    RecordMode, SpatialConfig,
+    AdapterKind, AdapterSpec, EngineKind, HybridNetwork, NocNode, PacketId, RecordMode,
+    SpatialConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-
-/// Process-wide engine preference (set from the CLI's `--engine` flag).
-/// A preference rather than a parameter because co-simulation runs deep
-/// inside cached pipeline stages; the engine never changes results (the
-/// hybrid core is cycle-exact), only how fast they are produced, so it
-/// deliberately stays out of artifact cache keys.
-static ENGINE: AtomicU8 = AtomicU8::new(2); // EngineKind::Auto
-
-/// Select the NoC engine for subsequent [`cosimulate`] calls.
-pub fn set_engine(kind: EngineKind) {
-    let v = match kind {
-        EngineKind::Step => 0,
-        EngineKind::Hybrid => 1,
-        EngineKind::Auto => 2,
-    };
-    ENGINE.store(v, Ordering::Relaxed);
-}
-
-/// The currently selected NoC engine.
-pub fn engine() -> EngineKind {
-    match ENGINE.load(Ordering::Relaxed) {
-        0 => EngineKind::Step,
-        1 => EngineKind::Hybrid,
-        _ => EngineKind::Auto,
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide spatial-accounting window for co-simulation, in NoC
-/// cycles (the CLI's `--window` flag). Like the engine preference it is
-/// a process global rather than a parameter because co-simulation runs
-/// deep inside cached pipeline stages; unlike the engine it *does*
-/// change the produced artifact, so the stage layer salts its cache
-/// keys with this value. `0` disables spatial accounting entirely and
+/// cycles (the CLI's `--window` flag). A process global rather than a
+/// parameter because co-simulation runs deep inside cached pipeline
+/// stages; it changes the produced artifact, so the stage layer salts
+/// its cache keys with this value. `0` disables spatial accounting entirely and
 /// the result carries no heatmap.
 static HEATMAP_WINDOW: AtomicU64 = AtomicU64::new(1024);
 
@@ -105,17 +78,10 @@ impl CosimResult {
     }
 }
 
-/// Co-simulate one run of a hybrid/NoC-only plan with the process-wide
-/// engine preference (see [`set_engine`]). Baseline plans have no NoC;
-/// they fall through to the transfer-level simulator.
+/// Co-simulate one run of a hybrid/NoC-only plan on the skip-ahead
+/// [`HybridNetwork`]. Baseline plans have no NoC; they fall through to
+/// the transfer-level simulator.
 pub fn cosimulate(plan: &InterconnectPlan) -> CosimResult {
-    cosimulate_with(plan, engine())
-}
-
-/// Co-simulate with an explicit engine choice. Every engine is
-/// cycle-exact with the others — the choice affects wall-clock speed
-/// only, which the `engines_agree_exactly` test pins down.
-pub fn cosimulate_with(plan: &InterconnectPlan, kind: EngineKind) -> CosimResult {
     use hic_obs::trace::{self, Category};
     let reg = hic_obs::global();
     let _run = reg.span("cosim.run");
@@ -149,31 +115,14 @@ pub fn cosimulate_with(plan: &InterconnectPlan, kind: EngineKind) -> CosimResult
     let bus = plan.config.bus;
     let clock = noc.config.clock;
     let adapter = AdapterSpec::paper_default(AdapterKind::Kernel);
-    // `Step` pins live cycles to the sequential stepper (the pre-hybrid
-    // behaviour, kept for A/B runs); `Hybrid` enables partitioned
-    // stepping unconditionally; `Auto` lets the engine's own threshold
-    // decide by mesh size. Skip-ahead over quiescent compute phases is
-    // active in every mode — it reproduces exactly the drained-jump this
-    // driver used to perform by hand.
-    let hc = match kind {
-        EngineKind::Step => HybridConfig {
-            jobs: 1,
-            parallel_threshold: usize::MAX,
-        },
-        EngineKind::Hybrid => HybridConfig {
-            parallel_threshold: 0,
-            ..HybridConfig::default()
-        },
-        EngineKind::Auto => HybridConfig::default(),
-    };
-    let mut net = HybridNetwork::with_config(noc.config, hc);
+    // Skip-ahead only jumps cycles in which nothing could move, so the
+    // result is exactly what stepping every cycle would give.
+    let mut net = HybridNetwork::new(noc.config);
     // The co-simulation consumes each delivery exactly once; event mode
     // lets the network recycle its log instead of retaining every packet.
     net.set_record_mode(RecordMode::Events);
     // Spatial observability: windowed per-link matrices plus per-flow
-    // totals, assembled into the heatmap artifact after the run. The
-    // matrices are engine-invariant, so this never perturbs the
-    // engines-agree guarantee.
+    // totals, assembled into the heatmap artifact after the run.
     let spatial_window = heatmap_window();
     if spatial_window != 0 {
         net.enable_spatial(SpatialConfig::windowed(spatial_window));
@@ -353,6 +302,12 @@ pub fn cosimulate_with(plan: &InterconnectPlan, kind: EngineKind) -> CosimResult
     result
 }
 
+/// [`cosimulate`] under a name kept only for existing readers: both
+/// [`EngineKind`]s run the same engine, so `kind` changes nothing.
+pub fn cosimulate_with(plan: &InterconnectPlan, _kind: EngineKind) -> CosimResult {
+    cosimulate(plan)
+}
+
 fn topo(app: &hic_fabric::AppSpec) -> Vec<KernelId> {
     app.topo_order().expect("cyclic communication graph")
 }
@@ -364,9 +319,8 @@ mod tests {
     use std::sync::Mutex;
 
     /// Serializes tests that read or toggle the process-global heatmap
-    /// window: unlike the engine preference, the window *does* change
-    /// the produced artifact, so concurrent toggling would make the
-    /// cross-engine comparisons flaky.
+    /// window: the window changes the produced artifact, so concurrent
+    /// toggling would make artifact comparisons flaky.
     static HEATMAP_WINDOW_LOCK: Mutex<()> = Mutex::new(());
 
     fn heatmap_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -424,19 +378,15 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_exactly() {
-        // The engine choice may only change wall-clock speed, never the
-        // simulated result: all three must agree bit-for-bit — including
-        // the spatial heatmap artifact (matrices, windows, flows,
-        // bottleneck ranking, verdict text).
+    fn cosim_is_deterministic_whatever_engine_kind_is_named() {
+        // Repeated runs agree bit-for-bit — including the spatial heatmap
+        // artifact (matrices, windows, flows, bottleneck ranking, verdict
+        // text) — and the retained `EngineKind` argument changes nothing.
         let _g = heatmap_lock();
-        let (plan, _) = jpeg_like(4);
-        let step = cosimulate_with(&plan, EngineKind::Step);
-        let hybrid = cosimulate_with(&plan, EngineKind::Hybrid);
-        let auto = cosimulate_with(&plan, EngineKind::Auto);
-        assert!(step.heatmap.is_some());
-        assert_eq!(step, hybrid);
-        assert_eq!(step, auto);
+        let (plan, first) = jpeg_like(4);
+        assert!(first.heatmap.is_some());
+        assert_eq!(first, cosimulate_with(&plan, EngineKind::Step));
+        assert_eq!(first, cosimulate_with(&plan, EngineKind::Auto));
     }
 
     #[test]
@@ -505,19 +455,6 @@ mod tests {
         set_heatmap_window(256);
         assert_eq!(heatmap_window(), 256);
         set_heatmap_window(before);
-    }
-
-    #[test]
-    fn engine_preference_round_trips() {
-        // Exercise the global preference accessors without relying on a
-        // particular order relative to other tests (cosim results are
-        // engine-independent, so concurrent tests are unaffected).
-        let before = engine();
-        set_engine(EngineKind::Step);
-        assert_eq!(engine(), EngineKind::Step);
-        set_engine(EngineKind::Hybrid);
-        assert_eq!(engine(), EngineKind::Hybrid);
-        set_engine(before);
     }
 
     #[test]

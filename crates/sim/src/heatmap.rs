@@ -16,11 +16,11 @@
 //!   utilization carries 71% of K3->M2 bytes; consider remapping").
 //!
 //! Everything in the artifact is integer-valued (permille rather than
-//! float) so reports are bit-identical across NoC engines and worker
-//! counts — the same guarantee the underlying matrices carry.
+//! float) so reports are bit-identical across NoC engines — the same
+//! guarantee the underlying matrices carry.
 
 use hic_fabric::KernelId;
-use hic_noc::{Coord, Direction, FlowTotals, Mesh, Network, NocNode, Placement};
+use hic_noc::{Coord, Direction, FlowTotals, Mesh, Network, NocNode, Placement, Routing};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -188,12 +188,22 @@ fn permille(num: u64, den: u64) -> u32 {
 /// (the only routing co-simulation uses), where every flit of a flow
 /// crosses every link on that path exactly once.
 ///
+/// # Panics
+///
+/// If the network routes anything other than XY: an adaptive route
+/// leaves the XY path, and the attribution would name the wrong links.
+///
 /// [XY-routed]: hic_noc::Routing::Xy
 pub fn assemble(
     net: &Network,
     placement: &Placement,
     names: &BTreeMap<KernelId, String>,
 ) -> HeatmapReport {
+    let routing = net.config().routing;
+    assert!(
+        routing == Routing::Xy,
+        "heatmap flow attribution walks XY paths, but the network routes {routing:?}"
+    );
     let mesh = net.config().mesh;
     let matrix = net.link_flit_matrix();
     let stalls = net.stall_matrix();
@@ -684,6 +694,22 @@ mod tests {
         assert!(!top.flows.is_empty());
         assert!(top.verdict.contains("link"));
         assert!(r.verdict.contains("(2,1)"), "verdict: {}", r.verdict);
+    }
+
+    #[test]
+    #[should_panic(expected = "the network routes WestFirst")]
+    fn west_first_networks_are_refused() {
+        // Flow attribution assumes XY paths; a West-first network may
+        // route around them, so assembling its heatmap must fail loudly.
+        let net = Network::new(NocConfig {
+            routing: Routing::WestFirst,
+            ..NocConfig::paper_default(Mesh::new(3, 3))
+        });
+        let placement = Placement {
+            mesh: Mesh::new(3, 3),
+            slots: BTreeMap::new(),
+        };
+        assemble(&net, &placement, &BTreeMap::new());
     }
 
     #[test]

@@ -26,10 +26,7 @@ pub mod heatmap;
 pub mod reconfig;
 pub mod system;
 
-pub use cosim::{
-    cosimulate, cosimulate_with, engine, heatmap_window, set_engine, set_heatmap_window,
-    CosimResult,
-};
+pub use cosim::{cosimulate, cosimulate_with, heatmap_window, set_heatmap_window, CosimResult};
 pub use energy::PowerModel;
 pub use heatmap::{
     publish_series, render_ansi, render_dot, render_summary, Bottleneck, FlowHeat, FlowShare,
