@@ -5,13 +5,13 @@
 //! routers is shortest" — ideally adjacent. We solve the general problem:
 //! given the traffic matrix between NoC nodes, find the assignment of nodes
 //! to router coordinates minimizing total `bytes × hops` (XY hop count ==
-//! Manhattan distance). Exhaustive search for small instances (≤ 8 nodes,
-//! the sizes the paper's applications produce), greedy pairwise-swap
-//! descent with random restarts beyond that.
-
-// Index loops over fixed-size port/coefficient arrays read more
-// naturally than iterator chains here.
-#![allow(clippy::needless_range_loop)]
+//! Manhattan distance). Up to 8 nodes (the sizes the paper's applications
+//! produce) an exhaustive search over the first `n` router slots finds the
+//! cheapest assignment to those slots; it never tries a mesh's spare
+//! routers, so it is not always optimal over the whole mesh. Beyond that,
+//! greedy move-or-swap descent with random restarts. Both search over
+//! dense node and slot indices; greedy prices each candidate move by its
+//! cost delta over the edges of the nodes it moves.
 
 use crate::topology::{Coord, Mesh};
 use hic_fabric::{KernelId, MemoryId};
@@ -83,9 +83,13 @@ impl Placement {
 /// Place `nodes` on the smallest mesh that holds them, minimizing
 /// `Σ bytes × hops` over `traffic`.
 ///
-/// Instances of up to 8 nodes are solved exactly by permutation search
-/// (8! = 40320 candidates); larger instances use greedy swap descent with
-/// `restarts` random restarts (deterministic for a given `rng`).
+/// Instances of up to 8 nodes use [`place_exhaustive`] (at most 8! = 40320
+/// candidates); larger instances use [`place_greedy`] with 8 random
+/// restarts (deterministic for a given `rng`).
+///
+/// # Panics
+/// If `nodes` is empty, names a node twice, or `traffic` names a node not
+/// in `nodes`.
 pub fn place(nodes: &[NocNode], traffic: &Traffic, rng: &mut impl Rng) -> Placement {
     assert!(!nodes.is_empty(), "cannot place zero nodes");
     let mesh = Mesh::at_least(nodes.len());
@@ -96,28 +100,136 @@ pub fn place(nodes: &[NocNode], traffic: &Traffic, rng: &mut impl Rng) -> Placem
     }
 }
 
-/// Exact placement by exhaustive permutation over the first `n` router
-/// slots of `mesh`.
-pub fn place_exhaustive(mesh: Mesh, nodes: &[NocNode], traffic: &Traffic) -> Placement {
-    assert!(mesh.len() >= nodes.len());
-    let slots: Vec<Coord> = (0..mesh.len()).map(|i| mesh.coord(i)).collect();
-    let mut order: Vec<usize> = (0..nodes.len()).collect();
-    let mut best: Option<(u64, Placement)> = None;
-    permute(&mut order, 0, &mut |perm| {
-        let placement = Placement {
+/// A placement instance over dense indices: node `i` is `nodes[i]`, slot
+/// `s` is the router `mesh.coord(s)`. Built once per placement call, so
+/// pricing a candidate never touches a map.
+struct Problem {
+    /// The mesh whose routers are the slots.
+    mesh: Mesh,
+    /// Traffic edges as `(a, b, bytes)` node indices.
+    edges: Vec<(usize, usize, u64)>,
+    /// Per node, `(neighbour, bytes)` of every edge to another node that
+    /// carries bytes; self edges and empty edges never change the cost.
+    adj: Vec<Vec<(usize, u64)>>,
+    /// `slots × slots` hop counts, row-major.
+    hops: Vec<u32>,
+}
+
+impl Problem {
+    fn new(mesh: Mesh, nodes: &[NocNode], traffic: &Traffic) -> Problem {
+        assert!(mesh.len() >= nodes.len());
+        let mut index = BTreeMap::new();
+        for (i, &n) in nodes.iter().enumerate() {
+            assert!(
+                index.insert(n, i).is_none(),
+                "{n} is listed twice among the nodes to place"
+            );
+        }
+        let at = |n: NocNode| match index.get(&n) {
+            Some(&i) => i,
+            None => panic!("traffic names {n}, which is not among the nodes to place"),
+        };
+        let edges: Vec<(usize, usize, u64)> = traffic
+            .iter()
+            .map(|&(a, b, bytes)| (at(a), at(b), bytes))
+            .collect();
+        let mut adj = vec![Vec::new(); nodes.len()];
+        for &(a, b, bytes) in &edges {
+            if a != b && bytes > 0 {
+                adj[a].push((b, bytes));
+                adj[b].push((a, bytes));
+            }
+        }
+        let coords: Vec<Coord> = (0..mesh.len()).map(|s| mesh.coord(s)).collect();
+        let hops = coords
+            .iter()
+            .flat_map(|&p| coords.iter().map(move |&q| p.manhattan(q)))
+            .collect();
+        Problem {
             mesh,
+            edges,
+            adj,
+            hops,
+        }
+    }
+
+    fn hop(&self, p: usize, q: usize) -> i128 {
+        i128::from(self.hops[p * self.mesh.len() + q])
+    }
+
+    /// `Σ bytes × hops` with node `i` on slot `pos[i]`.
+    fn cost(&self, pos: &[usize]) -> i128 {
+        self.edges
+            .iter()
+            .map(|&(a, b, bytes)| i128::from(bytes) * self.hop(pos[a], pos[b]))
+            .sum()
+    }
+
+    /// Cost change when node `i` moves to slot `to` and the slot's occupant
+    /// `j`, if any, takes `i`'s old slot. Only the edges of `i` and `j`
+    /// are visited; an edge between them keeps its length.
+    fn move_delta(&self, pos: &[usize], i: usize, to: usize, j: Option<usize>) -> i128 {
+        let from = pos[i];
+        let mut delta = self.shift(pos, i, from, to, j);
+        if let Some(j) = j {
+            delta += self.shift(pos, j, to, from, Some(i));
+        }
+        delta
+    }
+
+    /// Cost change of `v`'s edges, except those to `partner`, when `v`
+    /// moves from slot `from` to slot `to`.
+    fn shift(
+        &self,
+        pos: &[usize],
+        v: usize,
+        from: usize,
+        to: usize,
+        partner: Option<usize>,
+    ) -> i128 {
+        self.adj[v]
+            .iter()
+            .filter(|&&(w, _)| Some(w) != partner)
+            .map(|&(w, bytes)| i128::from(bytes) * (self.hop(to, pos[w]) - self.hop(from, pos[w])))
+            .sum()
+    }
+
+    fn placement(&self, nodes: &[NocNode], pos: &[usize]) -> Placement {
+        Placement {
+            mesh: self.mesh,
             slots: nodes
                 .iter()
-                .zip(perm.iter())
-                .map(|(&n, &s)| (n, slots[s]))
+                .zip(pos)
+                .map(|(&n, &s)| (n, self.mesh.coord(s)))
                 .collect(),
-        };
-        let c = placement.cost(traffic);
+        }
+    }
+}
+
+/// Minimum-cost placement over the first `n` router slots of `mesh`, by
+/// exhaustive permutation; the first minimum in `permute` order wins.
+///
+/// Slots past the first `n` are never tried. `Mesh::at_least` leaves
+/// spare routers at 3, 5, 7 and 8 nodes (one or two of a 2×2, 3×2 or 3×3
+/// mesh). At 3 nodes the symmetry of the 2×2 mesh makes any three slots
+/// equivalent; from 5 nodes on, the result is optimal over the slots
+/// tried, not necessarily over the mesh.
+///
+/// # Panics
+/// If `mesh` is smaller than `nodes`, `nodes` names a node twice, or
+/// `traffic` names a node not in `nodes`.
+pub fn place_exhaustive(mesh: Mesh, nodes: &[NocNode], traffic: &Traffic) -> Placement {
+    let problem = Problem::new(mesh, nodes, traffic);
+    let mut order: Vec<usize> = (0..nodes.len()).collect();
+    let mut best: Option<(i128, Vec<usize>)> = None;
+    permute(&mut order, 0, &mut |perm| {
+        let c = problem.cost(perm);
         if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
-            best = Some((c, placement));
+            best = Some((c, perm.to_vec()));
         }
     });
-    best.expect("at least one permutation").1
+    let (_, pos) = best.expect("at least one permutation");
+    problem.placement(nodes, &pos)
 }
 
 fn permute(order: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
@@ -132,7 +244,18 @@ fn permute(order: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
     }
 }
 
-/// Greedy pairwise-swap descent from random initial assignments.
+/// Greedy move-or-swap descent from `restarts` random initial assignments;
+/// the cheapest descent wins, the first on ties.
+///
+/// Each restart shuffles the slot indices and places node `i` on the
+/// `i`-th. It then scans node `i`, then slot `s`, moving `i` to `s` (and
+/// the occupant of `s`, if any, to `i`'s slot) whenever that strictly
+/// lowers the cost, until a full scan accepts nothing. A candidate is
+/// priced by its cost delta over the edges of the two nodes it moves.
+///
+/// # Panics
+/// If `mesh` is smaller than `nodes`, `nodes` names a node twice, or
+/// `traffic` names a node not in `nodes`.
 pub fn place_greedy(
     mesh: Mesh,
     nodes: &[NocNode],
@@ -140,60 +263,51 @@ pub fn place_greedy(
     rng: &mut impl Rng,
     restarts: usize,
 ) -> Placement {
-    assert!(mesh.len() >= nodes.len());
-    let all_slots: Vec<Coord> = (0..mesh.len()).map(|i| mesh.coord(i)).collect();
-    let mut best: Option<(u64, Placement)> = None;
+    let problem = Problem::new(mesh, nodes, traffic);
+    let n = nodes.len();
+    let mut best: Option<(i128, Vec<usize>)> = None;
 
     for _ in 0..restarts.max(1) {
-        let mut slots = all_slots.clone();
-        slots.shuffle(rng);
-        let mut assign: Vec<Coord> = slots[..nodes.len()].to_vec();
-        let mut cost = cost_of(mesh, nodes, &assign, traffic);
-        // Swap descent until no improving pairwise swap exists. Swaps also
-        // consider unused slots (as "virtual nodes"), letting nodes migrate
-        // into empty corners.
+        let mut order: Vec<usize> = (0..mesh.len()).collect();
+        order.shuffle(rng);
+        let mut pos: Vec<usize> = order[..n].to_vec();
+        let mut occ: Vec<Option<usize>> = vec![None; mesh.len()];
+        for (i, &s) in pos.iter().enumerate() {
+            occ[s] = Some(i);
+        }
+        let mut cost = problem.cost(&pos);
+        // Descent until no improving move exists. Moves also target unused
+        // slots, letting nodes migrate into empty corners.
         let mut improved = true;
         while improved {
             improved = false;
-            for i in 0..nodes.len() {
-                // Try moving node i to every other slot (occupied → swap).
-                for s in 0..all_slots.len() {
-                    let target = all_slots[s];
-                    if assign[i] == target {
+            for i in 0..n {
+                for s in 0..mesh.len() {
+                    if pos[i] == s {
                         continue;
                     }
-                    let mut cand = assign.clone();
-                    if let Some(j) = cand.iter().position(|&c| c == target) {
-                        cand.swap(i, j);
-                    } else {
-                        cand[i] = target;
-                    }
-                    let c = cost_of(mesh, nodes, &cand, traffic);
-                    if c < cost {
-                        cost = c;
-                        assign = cand;
+                    let j = occ[s];
+                    let delta = problem.move_delta(&pos, i, s, j);
+                    if delta < 0 {
+                        let from = pos[i];
+                        pos[i] = s;
+                        occ[s] = Some(i);
+                        occ[from] = j;
+                        if let Some(j) = j {
+                            pos[j] = from;
+                        }
+                        cost += delta;
                         improved = true;
                     }
                 }
             }
         }
-        let placement = Placement {
-            mesh,
-            slots: nodes.iter().copied().zip(assign.iter().copied()).collect(),
-        };
         if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-            best = Some((cost, placement));
+            best = Some((cost, pos));
         }
     }
-    best.expect("restarts >= 1").1
-}
-
-fn cost_of(_mesh: Mesh, nodes: &[NocNode], assign: &[Coord], traffic: &Traffic) -> u64 {
-    let idx: BTreeMap<NocNode, Coord> = nodes.iter().copied().zip(assign.iter().copied()).collect();
-    traffic
-        .iter()
-        .map(|&(a, b, bytes)| bytes * idx[&a].manhattan(idx[&b]) as u64)
-        .sum()
+    let (_, pos) = best.expect("restarts >= 1");
+    problem.placement(nodes, &pos)
 }
 
 /// A placement that ignores traffic (nodes in index order). The ablation
@@ -283,6 +397,22 @@ mod tests {
         let nodes = vec![k(0), k(1)];
         let p = place_naive(&nodes);
         assert_eq!(p.mean_hops(&vec![]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel K1 is listed twice among the nodes to place")]
+    fn duplicate_node_panics_naming_it() {
+        let nodes = vec![k(0), k(1), m(0), k(1)];
+        place_exhaustive(Mesh::at_least(4), &nodes, &vec![(k(0), m(0), 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic names mem M7, which is not among the nodes to place")]
+    fn traffic_to_an_unplaced_node_panics_naming_it() {
+        let nodes: Vec<NocNode> = (0..10).map(k).collect();
+        let traffic = vec![(k(0), k(1), 5), (k(2), m(7), 9)];
+        let mut rng = StdRng::seed_from_u64(0);
+        place_greedy(Mesh::at_least(10), &nodes, &traffic, &mut rng, 8);
     }
 
     #[test]
