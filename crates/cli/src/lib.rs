@@ -262,14 +262,6 @@ pub enum Command {
         /// Emit the raw timeline JSON instead of the rendering.
         json: bool,
     },
-    /// Serve the process-global registry as Prometheus exposition — the
-    /// ad-hoc scrape target (`--for-ms` bounds the serve for scripts).
-    ServeMetrics {
-        /// Port to bind on 127.0.0.1.
-        port: u16,
-        /// Stop after this many milliseconds (`None` = until killed).
-        for_ms: Option<u64>,
-    },
     /// Record a causal event trace of the pipeline on a built-in app and
     /// export it as Chrome trace-event JSON (`hic-trace/v1`).
     Trace {
@@ -658,10 +650,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 json: args.iter().any(|a| a == "--json"),
             })
         }
-        "serve-metrics" => Ok(Command::ServeMetrics {
-            port: positive_flag::<u16>(args, "--port")?.unwrap_or(9184),
-            for_ms: positive_flag::<u64>(args, "--for-ms")?,
-        }),
         "trace" => {
             let app = args
                 .get(1)
@@ -723,7 +711,6 @@ USAGE:
                [--for-ms MS] [--log-level debug|info|warn|error] [--log-file F]
   hic jobs     [--port PORT] [--failed] [--slowest N] [--json]
   hic inspect  <job-id> [--port PORT] [--json]
-  hic serve-metrics [--port PORT] [--for-ms MS]
   hic trace    <app> [--noc|--batch] [--sample N] [-o FILE]
   hic help
 
@@ -790,8 +777,6 @@ TELEMETRY:
   http://127.0.0.1:PORT/metrics while the batch runs (--linger-ms keeps
   it up after completion so scrapers catch short runs). top renders a
   live sparkline dashboard on stderr while the batch executes.
-  serve-metrics is the ad-hoc scrape target (default port 9184; --for-ms
-  bounds it for scripts).
 "
 }
 
@@ -934,24 +919,19 @@ fn emit_trace(source: &str) -> Result<String, CliError> {
     }
 }
 
-/// Run the workload a `hic trace` invocation records: the batch pipeline
-/// (unless `--noc`) and a direct profile → design → co-simulate → bus
-/// replay (unless `--batch`). Cache reads are always skipped so every
-/// stage computes and emits events; results are still published.
+/// Run the workload a `hic trace` invocation records: a direct profile →
+/// design → co-simulate → bus replay (unless `--batch`), then the batch
+/// pipeline (unless `--noc`). The direct run's stages also write `batch`
+/// slices; running it first keeps the batch pool's slices the last to
+/// finish, which is what the summary's critical path reads. Cache reads
+/// are always skipped so every stage computes and emits events; results
+/// are still published.
 fn run_trace_workload(
     app: &str,
     mode: TraceMode,
     cache: &CacheOpts,
     cfg: &DesignConfig,
 ) -> Result<(), CliError> {
-    if mode != TraceMode::Noc {
-        let mut opts = hic_pipeline::BatchOptions::new(
-            vec![app.to_string()],
-            cache.dir.as_ref().map(std::path::PathBuf::from),
-        );
-        opts.read_cache = false;
-        hic_pipeline::run_batch(&opts)?;
-    }
     if mode != TraceMode::Batch {
         // Storeless direct run: the NoC packet flows come from the flit
         // co-simulation, which needs a plan with a mesh — fall back to
@@ -978,6 +958,18 @@ fn run_trace_workload(
             }
         }
         bus.run(&requests);
+        // Packet ids restart at 0 in every network, so a second
+        // co-simulation's flows would reuse the causal ids above. The
+        // batch's cosim re-runs the same plan: keep one copy.
+        hic_obs::trace::global().set_enabled(hic_obs::trace::Category::Noc, false);
+    }
+    if mode != TraceMode::Noc {
+        let mut opts = hic_pipeline::BatchOptions::new(
+            vec![app.to_string()],
+            cache.dir.as_ref().map(std::path::PathBuf::from),
+        );
+        opts.read_cache = false;
+        hic_pipeline::run_batch(&opts)?;
     }
     Ok(())
 }
@@ -987,7 +979,7 @@ fn run_trace_workload(
 fn trace_summary(trace: &hic_obs::trace::Trace) -> String {
     use hic_obs::trace::{self as tr, Category};
     let mut out = tr::summarize(trace);
-    let spans = tr::pair_spans(&trace.events);
+    let spans = tr::spans(&trace.events);
     // Critical-path job chain: per pipeline stage, the span that finished
     // last — the one every dependent job had to wait for.
     let chain: Vec<_> = ["profile", "design", "cosim"]
@@ -1703,30 +1695,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             } else {
                 Ok(timeline_render(t))
             }
-        }
-        Command::ServeMetrics { port, for_ms } => {
-            let reg = hic_obs::global().clone();
-            let store =
-                hic_obs::timeseries::SeriesStore::new(hic_obs::timeseries::DEFAULT_SERIES_CAPACITY);
-            let mut sampler = hic_obs::Sampler::start(
-                reg.clone(),
-                store.clone(),
-                std::time::Duration::from_millis(100),
-            );
-            let mut srv = hic_obs::MetricsServer::start(reg, Some(store), port)?;
-            eprintln!("serving metrics at http://127.0.0.1:{}/metrics", srv.port());
-            match for_ms {
-                Some(ms) => std::thread::sleep(std::time::Duration::from_millis(ms)),
-                None => loop {
-                    std::thread::sleep(std::time::Duration::from_secs(3600));
-                },
-            }
-            sampler.stop();
-            srv.stop();
-            Ok(format!(
-                "served /metrics on port {port} for {}ms\n",
-                for_ms.unwrap_or(0)
-            ))
         }
         Command::Trace {
             app,

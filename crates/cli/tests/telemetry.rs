@@ -1,13 +1,12 @@
 //! End-to-end continuous telemetry: `hic batch --serve-metrics` exposes
-//! live Prometheus exposition over HTTP while the DAG executes, `hic
-//! serve-metrics` is a bounded ad-hoc scrape target, and the new
+//! live Prometheus exposition over HTTP while the DAG executes, and the
 //! telemetry flags are validated at parse time with the exit-2 usage
 //! convention.
 //!
 //! The live-batch test binds port 0 (ephemeral) through the library API
 //! — the CLI itself rejects port 0, which the parse tests pin down.
 
-use hic_cli::{dispatch, parse, run, CliError, Command};
+use hic_cli::{dispatch, parse, CliError, Command};
 use hic_obs::expo::{http_get_local, validate_exposition};
 use hic_obs::timeseries::SeriesStore;
 use hic_obs::{MetricsServer, Sampler};
@@ -79,17 +78,6 @@ fn metrics_endpoint_serves_valid_exposition_during_a_live_batch() {
 }
 
 #[test]
-fn serve_metrics_command_is_bounded_by_for_ms() {
-    // `hic serve-metrics --for-ms 50` must return (not serve forever).
-    let out = run(Command::ServeMetrics {
-        port: 0,
-        for_ms: Some(50),
-    })
-    .expect("bounded serve returns");
-    assert!(out.contains("50ms"), "{out}");
-}
-
-#[test]
 fn telemetry_flags_parse_and_default() {
     match parse(&argv("batch jpeg --serve-metrics 9100 --linger-ms 250")).unwrap() {
         Command::Batch {
@@ -126,13 +114,6 @@ fn telemetry_flags_parse_and_default() {
         }
         other => panic!("expected Top, got {other:?}"),
     }
-    match parse(&argv("serve-metrics")).unwrap() {
-        Command::ServeMetrics { port, for_ms } => {
-            assert_eq!(port, 9184, "default ad-hoc port");
-            assert_eq!(for_ms, None);
-        }
-        other => panic!("expected ServeMetrics, got {other:?}"),
-    }
 }
 
 #[test]
@@ -147,9 +128,6 @@ fn bad_telemetry_flags_are_usage_errors_with_exit_2() {
         "top doom",
         "top canny --interval-ms 0",
         "top canny --interval-ms fast",
-        "serve-metrics --port 0",
-        "serve-metrics --port 99999",
-        "serve-metrics --for-ms 0",
         "trace canny --sample 0",
         "trace canny --sample -3",
     ] {

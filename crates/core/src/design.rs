@@ -28,6 +28,7 @@ use hic_fabric::time::Time;
 use hic_fabric::{AppSpec, CommEdge, Endpoint, KernelId, KernelSpec, MemoryId};
 use hic_mem::bram::PortPlan;
 use hic_noc::{place, NocConfig, NocNode, Placement, Traffic};
+use hic_obs::trace::Category;
 use hic_xbar::{SharedMemPair, SharingMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -315,16 +316,8 @@ fn design_with(
     app.validate().expect("invalid AppSpec");
     let reg = hic_obs::global();
     reg.counter("design.runs").inc();
-    // Whole-run trace slice, recorded retrospectively on success so the
-    // error paths below never leave a span open.
-    use hic_obs::trace::{self, Category};
-    let trace_t0 = trace::enabled(Category::Design).then(trace::now_us);
-    let trace_done = |plan: InterconnectPlan| {
-        if let Some(t0) = trace_t0 {
-            trace::complete(Category::Design, "design", &plan.app.name, t0);
-        }
-        plan
-    };
+    // The whole run, with Algorithm 1's steps as nested stages below.
+    let _run = hic_obs::stage(Category::Design, "design.run", &app.name);
     let base_kernels: Resources = app.kernels.iter().map(|k| k.resources).sum();
     let base_need = base_kernels + ComponentKind::Bus.cost();
     if !base_need.fits_in(cfg.resource_budget) {
@@ -335,11 +328,11 @@ fn design_with(
     }
 
     if variant == Variant::Baseline {
-        return Ok(trace_done(baseline_plan(app, cfg)));
+        return Ok(baseline_plan(app, cfg));
     }
 
     // --- Lines 2–6: duplication of qualifying kernels. ---
-    let stage = reg.span("design.duplication");
+    let stage = hic_obs::stage(Category::Design, "design.duplication", "");
     let mut app = app.clone();
     let mut duplicated = Vec::new();
     let mut used = base_need;
@@ -367,7 +360,7 @@ fn design_with(
 
     // --- Lines 8–13: shared-local-memory pairing. ---
     drop(stage);
-    let stage = reg.span("design.shared_memory");
+    let stage = hic_obs::stage(Category::Design, "design.shared_memory", "");
     let mut sm_pairs: Vec<SharedMemPair> = Vec::new();
     if knobs.shared_memory {
         let mut edges: Vec<CommEdge> = app.k2k_edges().copied().collect();
@@ -392,7 +385,7 @@ fn design_with(
 
     // --- Edges served by neither mechanism fall back to the bus. ---
     drop(stage);
-    let stage = reg.span("design.mapping");
+    let stage = hic_obs::stage(Category::Design, "design.mapping", "");
     let sm_covered: BTreeSet<(KernelId, KernelId)> =
         sm_pairs.iter().map(|p| (p.producer, p.consumer)).collect();
     let bus_fallback: Vec<CommEdge> = if knobs.noc {
@@ -479,7 +472,7 @@ fn design_with(
 
     // --- NoC plan and placement. ---
     drop(stage);
-    let stage = reg.span("design.placement");
+    let stage = hic_obs::stage(Category::Design, "design.placement", "");
     let kernel_nodes: Vec<KernelId> = app
         .kernel_ids()
         .filter(|k| kernels[k].attach.kernel == KernelAttach::K2)
@@ -528,7 +521,7 @@ fn design_with(
 
     // --- Line 15: parallel solution, Cases 1 & 2. ---
     drop(stage);
-    let stage = reg.span("design.parallel");
+    let stage = hic_obs::stage(Category::Design, "design.parallel", "");
     let theta = cfg.theta();
     let o = cfg.stream_overhead(&app);
     let mut parallel = Vec::new();
@@ -583,7 +576,7 @@ fn design_with(
         reg.counter("design.noc_routers").add(n.routers() as u64);
     }
 
-    Ok(trace_done(InterconnectPlan {
+    Ok(InterconnectPlan {
         variant,
         app,
         duplicated,
@@ -594,7 +587,7 @@ fn design_with(
         bus_fallback,
         knobs,
         config: *cfg,
-    }))
+    })
 }
 
 /// The baseline system: every kernel `{K1, M1}`, no custom interconnect.

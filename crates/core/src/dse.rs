@@ -13,6 +13,7 @@ use crate::design::{design_custom, DesignConfig, DesignError, DesignKnobs, Inter
 use hic_fabric::resource::Resources;
 use hic_fabric::time::Time;
 use hic_fabric::AppSpec;
+use hic_obs::trace::Category;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -98,7 +99,7 @@ pub fn lattice() -> Vec<DesignKnobs> {
 /// tests).
 pub fn explore(app: &AppSpec, cfg: &DesignConfig) -> Result<Vec<DsePoint>, DesignError> {
     let reg = hic_obs::global();
-    let _sweep = reg.span("dse.explore");
+    let _sweep = hic_obs::stage(Category::Design, "dse.explore", &app.name);
     let bits: Vec<u8> = (0u8..16).collect();
     let evaluated: Vec<Result<DsePoint, DesignError>> = bits
         .par_iter()

@@ -13,7 +13,8 @@
 //! [`MetricsServer`] is a deliberately tiny HTTP/1.1 responder on
 //! [`std::net::TcpListener`] — no dependency, one thread, connection per
 //! request — because its job is a localhost scrape target for
-//! `hic batch --serve-metrics` / `hic serve-metrics`, not a web server.
+//! `hic batch --serve-metrics` / `hic serve --metrics-port`, not a web
+//! server.
 //! When the server also holds a [`SeriesStore`], the exposition appends
 //! `hic_rate_per_sec{series="…"}` gauges derived from the sampler's
 //! sliding window, so a scraper sees live rates without computing them.

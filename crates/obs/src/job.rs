@@ -4,11 +4,11 @@
 //! A *job* here is one unit of externally-submitted work (a `hic serve`
 //! request). [`start`] arms a thread-scoped [`JobCtx`] carrying the
 //! daemon-unique job id and a shared stage collector; while armed,
-//! every [`stage`] scope appends a [`StageObs`] (duration, nesting
-//! depth, cache outcome, lease wait) to the job, and tags the flight
-//! recorder with a `job.stage` complete-event whose `id` field is the
-//! job id — so the trace ring and the per-job timeline describe the
-//! same spans and can be cross-checked.
+//! every [`crate::stage`] scope appends a [`StageObs`] (duration,
+//! nesting depth, cache outcome, lease wait) to the job, and stamps the
+//! job id on the flight-recorder slice it writes — so the trace ring
+//! and the per-job timeline describe the same spans and can be
+//! cross-checked.
 //!
 //! The context hops threads explicitly: a work-stealing pool captures
 //! [`current`] when a task is enqueued and re-arms it on the worker
@@ -22,9 +22,7 @@
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-use crate::trace::{self, Category, Detail, Event, Phase};
+use std::time::{Duration, Instant};
 
 /// Cache outcome of one stage scope (artifact-store perspective).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,7 +106,7 @@ thread_local! {
     static OPEN: RefCell<Vec<OpenStage>> = const { RefCell::new(Vec::new()) };
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct OpenStage {
     cache: CacheOutcome,
     lease_wait_ns: u64,
@@ -173,34 +171,36 @@ impl Drop for JobGuard {
     }
 }
 
-/// Open a stage scope if a context is armed (`None` otherwise — the
-/// caller just holds the option and lets it drop). `detail` is only
-/// formatted by call sites after checking [`active`], so the disarmed
-/// path stays allocation-free.
-pub fn stage(name: &'static str, detail: &str) -> Option<StageGuard> {
-    let ctx = current()?;
-    let depth = OPEN.with(|o| {
+/// Push an open stage on this thread's stack and return its depth
+/// (0 = top level). Called by [`crate::stage`] when a job is armed.
+pub(crate) fn open_stage() -> u32 {
+    OPEN.with(|o| {
         let mut o = o.borrow_mut();
-        o.push(OpenStage {
-            cache: CacheOutcome::Uncached,
-            lease_wait_ns: 0,
-        });
+        o.push(OpenStage::default());
         o.len() as u32 - 1
-    });
-    Some(StageGuard {
-        start: Instant::now(),
-        start_us: trace::now_us(),
-        name,
-        detail: detail.to_string(),
-        depth,
-        ctx,
     })
 }
 
-/// True when a context is armed on this thread — gate for call sites
-/// that would otherwise format a detail string for nothing.
-pub fn active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+/// Pop the innermost open stage and append it, with the notes made
+/// inside it, to `ctx`'s timeline.
+pub(crate) fn close_stage(
+    ctx: &JobCtx,
+    name: &'static str,
+    detail: String,
+    depth: u32,
+    started: Instant,
+    dur: Duration,
+) {
+    let open = OPEN.with(|o| o.borrow_mut().pop()).unwrap_or_default();
+    ctx.shared.stages.lock().unwrap().push(StageObs {
+        name,
+        detail,
+        depth,
+        start_ns: started.duration_since(ctx.shared.epoch).as_nanos() as u64,
+        dur_ns: dur.as_nanos() as u64,
+        cache: open.cache,
+        lease_wait_ns: open.lease_wait_ns,
+    });
 }
 
 /// Record the artifact-store outcome on the innermost open stage.
@@ -225,64 +225,24 @@ pub fn note_lease_wait(ns: u64) {
     });
 }
 
-/// An open stage scope; dropping records the [`StageObs`] and, when the
-/// `batch` trace category is enabled, a `job.stage` flight-recorder
-/// event carrying the job id.
-#[derive(Debug)]
-pub struct StageGuard {
-    start: Instant,
-    start_us: u64,
-    name: &'static str,
-    detail: String,
-    depth: u32,
-    ctx: JobCtx,
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        let dur = self.start.elapsed();
-        let open = OPEN.with(|o| o.borrow_mut().pop()).unwrap_or(OpenStage {
-            cache: CacheOutcome::Uncached,
-            lease_wait_ns: 0,
-        });
-        let start_ns = self.start.duration_since(self.ctx.shared.epoch).as_nanos() as u64;
-        self.ctx.shared.stages.lock().unwrap().push(StageObs {
-            name: self.name,
-            detail: std::mem::take(&mut self.detail),
-            depth: self.depth,
-            start_ns,
-            dur_ns: dur.as_nanos() as u64,
-            cache: open.cache,
-            lease_wait_ns: open.lease_wait_ns,
-        });
-        if trace::enabled(Category::Batch) {
-            let rec = trace::recorder();
-            let now = rec.now_us();
-            rec.record(Event {
-                ts: self.start_us,
-                dur: now.saturating_sub(self.start_us),
-                id: self.ctx.shared.id,
-                arg: self.ctx.shared.id,
-                name: "job.stage",
-                detail: Detail::of(self.name),
-                phase: Phase::Complete,
-                cat: Category::Batch,
-                tid: rec.tid(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Category;
+
+    /// A stage scope in a category the obs unit tests never trace.
+    fn stage(name: &'static str, detail: &str) -> crate::Stage {
+        crate::stage(Category::Batch, name, detail)
+    }
 
     #[test]
     fn disarmed_hooks_are_inert() {
         assert!(current().is_none());
-        assert!(!active());
         assert_eq!(current_id(), None);
-        assert!(stage("profile", "").is_none());
+        {
+            let _s = stage("obs.test.disarmed", "");
+            assert!(OPEN.with(|o| o.borrow().is_empty()), "no stage stack");
+        }
         note_cache(true); // no-op, must not panic
         note_lease_wait(5);
     }

@@ -12,9 +12,11 @@
 //! * [`Histogram`] — fixed log2 buckets (65 of them: one per power of two
 //!   plus a zero bucket), so recording is a `leading_zeros` and two
 //!   `fetch_add`s, with no allocation and no configuration.
-//! * [`Span`] — a wall-clock stage timer that records into a histogram on
-//!   drop. Spans honour [`Registry::set_spans_enabled`]: when disabled, a
-//!   span is a single branch and no clock is read.
+//! * [`stage`] — the one scope timer of the pipeline. Its [`Stage`]
+//!   guard records on drop, on every exit path: a `"<name>.ns"`
+//!   histogram sample always, a complete slice in the flight recorder
+//!   when its [`trace`] category is on, and a [`job`] timeline entry
+//!   when a job context is armed.
 //! * [`Registry`] — a named, thread-safe home for all of the above,
 //!   cloneable (shared-handle semantics) with a process-wide default
 //!   ([`global`]).
@@ -37,8 +39,8 @@
 //! registry into fixed-capacity ring-buffer [`Series`] (2:1 downsampling
 //! on overflow, sliding-window rate queries), and the [`expo`] module
 //! serves the registry as Prometheus text format from a zero-dependency
-//! [`MetricsServer`] — the pieces behind `hic top`, `hic serve-metrics`
-//! and `hic batch --serve-metrics`.
+//! [`MetricsServer`] — the pieces behind `hic top`, `hic batch
+//! --serve-metrics` and `hic serve --metrics-port`.
 
 #![warn(missing_docs)]
 
@@ -48,6 +50,7 @@ pub mod log;
 mod metrics;
 mod registry;
 mod snapshot;
+mod span;
 pub mod timeseries;
 pub mod trace;
 
@@ -77,6 +80,7 @@ pub use expo::{
     MetricsServer, StatusSource,
 };
 pub use metrics::{bucket_bounds, bucket_of, Counter, Gauge, Histogram, BUCKETS};
-pub use registry::{global, Registry, Span};
+pub use registry::{global, Registry};
 pub use snapshot::{BucketValue, GaugeValue, HistogramValue, Snapshot, SCHEMA};
+pub use span::{stage, Stage};
 pub use timeseries::{Point, Sampler, Series, SeriesStore};

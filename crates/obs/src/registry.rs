@@ -1,11 +1,9 @@
-//! The named metric registry and span timers.
+//! The named metric registry.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{GaugeValue, HistogramValue, Snapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 #[derive(Debug, Clone)]
 enum Slot {
@@ -14,18 +12,12 @@ enum Slot {
     Histogram(Arc<Histogram>),
 }
 
-#[derive(Debug)]
-struct Inner {
-    spans_enabled: AtomicBool,
-    slots: Mutex<BTreeMap<String, Slot>>,
-}
-
 /// A named home for metrics, shared by handle ([`Clone`] aliases the same
 /// store). Lookups get-or-create; callers on warm paths should cache the
 /// returned `Arc` handle rather than re-resolving the name per event.
 #[derive(Debug, Clone)]
 pub struct Registry {
-    inner: Arc<Inner>,
+    slots: Arc<Mutex<BTreeMap<String, Slot>>>,
 }
 
 impl Default for Registry {
@@ -35,26 +27,11 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry with spans enabled.
+    /// An empty registry.
     pub fn new() -> Self {
         Registry {
-            inner: Arc::new(Inner {
-                spans_enabled: AtomicBool::new(true),
-                slots: Mutex::new(BTreeMap::new()),
-            }),
+            slots: Arc::new(Mutex::new(BTreeMap::new())),
         }
-    }
-
-    /// Turn span timing on or off. Counters and gauges are unaffected —
-    /// they are cheap enough to stay on; spans additionally read the
-    /// clock, which this switch removes down to a single branch.
-    pub fn set_spans_enabled(&self, on: bool) {
-        self.inner.spans_enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether spans currently time anything.
-    pub fn spans_enabled(&self) -> bool {
-        self.inner.spans_enabled.load(Ordering::Relaxed)
     }
 
     /// The counter named `name`, created on first use.
@@ -62,7 +39,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut slots = self.inner.slots.lock().unwrap();
+        let mut slots = self.slots.lock().unwrap();
         match slots
             .entry(name.to_string())
             .or_insert_with(|| Slot::Counter(Arc::new(Counter::new())))
@@ -77,7 +54,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut slots = self.inner.slots.lock().unwrap();
+        let mut slots = self.slots.lock().unwrap();
         match slots
             .entry(name.to_string())
             .or_insert_with(|| Slot::Gauge(Arc::new(Gauge::new())))
@@ -92,7 +69,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut slots = self.inner.slots.lock().unwrap();
+        let mut slots = self.slots.lock().unwrap();
         match slots
             .entry(name.to_string())
             .or_insert_with(|| Slot::Histogram(Arc::new(Histogram::new())))
@@ -102,26 +79,14 @@ impl Registry {
         }
     }
 
-    /// Start timing a stage. On drop the elapsed wall time lands, in
-    /// nanoseconds, in the histogram `"<name>.ns"`. When spans are
-    /// disabled this is one branch: no clock read, no recording.
-    pub fn span(&self, name: &str) -> Span {
-        if !self.spans_enabled() {
-            return Span { active: None };
-        }
-        Span {
-            active: Some((self.histogram(&format!("{name}.ns")), Instant::now())),
-        }
-    }
-
     /// Remove every metric (a fresh start for one-process test runs).
     pub fn clear(&self) {
-        self.inner.slots.lock().unwrap().clear();
+        self.slots.lock().unwrap().clear();
     }
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
-        let slots = self.inner.slots.lock().unwrap();
+        let slots = self.slots.lock().unwrap();
         let mut snap = Snapshot::default();
         for (name, slot) in slots.iter() {
             match slot {
@@ -143,20 +108,6 @@ impl Registry {
             }
         }
         snap
-    }
-}
-
-/// A running stage timer (see [`Registry::span`]).
-#[must_use = "a span records on drop; binding it to _ ends it immediately"]
-pub struct Span {
-    active: Option<(Arc<Histogram>, Instant)>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((hist, started)) = self.active.take() {
-            hist.record(started.elapsed().as_nanos() as u64);
-        }
     }
 }
 
@@ -194,27 +145,6 @@ mod tests {
         let r = Registry::new();
         r.counter("dual").inc();
         r.gauge("dual");
-    }
-
-    #[test]
-    fn span_records_into_suffixed_histogram() {
-        let r = Registry::new();
-        {
-            let _s = r.span("stage");
-        }
-        assert_eq!(r.histogram("stage.ns").count(), 1);
-    }
-
-    #[test]
-    fn disabled_spans_record_nothing() {
-        let r = Registry::new();
-        r.set_spans_enabled(false);
-        {
-            let _s = r.span("stage");
-        }
-        assert!(!r.spans_enabled());
-        // The histogram was never even created.
-        assert!(r.snapshot().histograms.is_empty());
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! # Event model
 //!
-//! An [`Event`] is a fixed-size record: a [`Phase`] (begin/end/
-//! complete/instant/flow), a [`Category`] (which subsystem), a static
+//! An [`Event`] is a fixed-size record: a [`Phase`] (complete/instant/
+//! flow), a [`Category`] (which subsystem), a static
 //! name, a small inline [`Detail`] string for dynamic labels, a track
 //! id (`tid`), a timestamp, and phase-dependent `dur`/`id`/`arg`
 //! words. Timestamps are **monotonic per track** but live in
@@ -41,10 +41,12 @@
 //! | `design` | 4   | µs since tracer creation  | worker lane        |
 //! | `sim`    | 5   | µs since tracer creation  | worker lane        |
 //!
-//! Flow events (`FlowBegin`/`FlowStep`/`FlowEnd`) share a causal `id`
-//! and export as Chrome async-nestable events (`b`/`n`/`e`), which is
-//! what lets a packet's end-to-end latency be reconstructed from the
-//! trace alone ([`flows`]).
+//! Wall-clock slices are [`Phase::Complete`] records written when a
+//! [`crate::stage`] guard drops; nested stages on one lane nest as
+//! slices. Flow events (`FlowBegin`/`FlowStep`/`FlowEnd`) share a
+//! causal `id` and export as Chrome async-nestable events (`b`/`n`/`e`),
+//! which is what lets a packet's end-to-end latency be reconstructed
+//! from the trace alone ([`flows`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -121,10 +123,6 @@ impl Category {
 /// What kind of event a record is (maps onto Chrome trace-event `ph`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Start of a slice on a track (`ph: "B"`).
-    Begin,
-    /// End of the innermost open slice on a track (`ph: "E"`).
-    End,
     /// A retrospective slice with an explicit duration (`ph: "X"`).
     Complete,
     /// A point event (`ph: "i"`).
@@ -141,8 +139,6 @@ impl Phase {
     /// The Chrome trace-event phase character.
     pub fn ph(self) -> char {
         match self {
-            Phase::Begin => 'B',
-            Phase::End => 'E',
             Phase::Complete => 'X',
             Phase::Instant => 'i',
             Phase::FlowBegin => 'b',
@@ -419,8 +415,8 @@ impl Tracer {
 }
 
 /// A handle for recording into one per-thread ring. Clones share the
-/// ring. The embedded `tid` is the default track for the wall-clock
-/// helpers ([`Recorder::begin`] & co.) — the "worker lane" of batch
+/// ring. The embedded `tid` is the default track for wall-clock events
+/// ([`Recorder::instant`], stage slices) — the "worker lane" of batch
 /// jobs; subsystems with natural tracks (routers, bus masters) pass an
 /// explicit `tid` via [`Recorder::record`].
 #[derive(Debug, Clone)]
@@ -472,42 +468,6 @@ impl Recorder {
         self.ring.lock().unwrap().push(ev);
     }
 
-    /// Open a wall-clock slice on this recorder's lane.
-    pub fn begin(&self, cat: Category, name: &'static str, detail: Detail) {
-        if !self.enabled(cat) {
-            return;
-        }
-        self.record(Event {
-            ts: self.now_us(),
-            dur: 0,
-            id: 0,
-            arg: 0,
-            name,
-            detail,
-            phase: Phase::Begin,
-            cat,
-            tid: self.tid,
-        });
-    }
-
-    /// Close the innermost open wall-clock slice named `name`.
-    pub fn end(&self, cat: Category, name: &'static str) {
-        if !self.enabled(cat) {
-            return;
-        }
-        self.record(Event {
-            ts: self.now_us(),
-            dur: 0,
-            id: 0,
-            arg: 0,
-            name,
-            detail: Detail::EMPTY,
-            phase: Phase::End,
-            cat,
-            tid: self.tid,
-        });
-    }
-
     /// A wall-clock point event on this recorder's lane.
     pub fn instant(&self, cat: Category, name: &'static str, detail: Detail, arg: u64) {
         if !self.enabled(cat) {
@@ -521,27 +481,6 @@ impl Recorder {
             name,
             detail,
             phase: Phase::Instant,
-            cat,
-            tid: self.tid,
-        });
-    }
-
-    /// A retrospective wall-clock slice: `started_us` from a previous
-    /// [`Recorder::now_us`] call, duration measured now. Safe around
-    /// fallible code — nothing records if the scope errors out first.
-    pub fn complete(&self, cat: Category, name: &'static str, detail: Detail, started_us: u64) {
-        if !self.enabled(cat) {
-            return;
-        }
-        let now = self.now_us();
-        self.record(Event {
-            ts: started_us,
-            dur: now.saturating_sub(started_us),
-            id: 0,
-            arg: 0,
-            name,
-            detail,
-            phase: Phase::Complete,
             cat,
             tid: self.tid,
         });
@@ -577,22 +516,6 @@ pub fn enabled(cat: Category) -> bool {
     global().enabled(cat)
 }
 
-/// [`Recorder::begin`] on this thread's global-tracer recorder.
-pub fn begin(cat: Category, name: &'static str, detail: &str) {
-    if !enabled(cat) {
-        return;
-    }
-    recorder().begin(cat, name, Detail::of(detail));
-}
-
-/// [`Recorder::end`] on this thread's global-tracer recorder.
-pub fn end(cat: Category, name: &'static str) {
-    if !enabled(cat) {
-        return;
-    }
-    recorder().end(cat, name);
-}
-
 /// [`Recorder::instant`] on this thread's global-tracer recorder.
 pub fn instant(cat: Category, name: &'static str, detail: &str, arg: u64) {
     if !enabled(cat) {
@@ -601,17 +524,10 @@ pub fn instant(cat: Category, name: &'static str, detail: &str, arg: u64) {
     recorder().instant(cat, name, Detail::of(detail), arg);
 }
 
-/// [`Tracer::now_us`] on the global tracer (pair with [`complete`]).
+/// [`Tracer::now_us`] on the global tracer (the start stamp of a
+/// stage slice).
 pub fn now_us() -> u64 {
     global().now_us()
-}
-
-/// [`Recorder::complete`] on this thread's global-tracer recorder.
-pub fn complete(cat: Category, name: &'static str, detail: &str, started_us: u64) {
-    if !enabled(cat) {
-        return;
-    }
-    recorder().complete(cat, name, Detail::of(detail), started_us);
 }
 
 // ------------------------------------------------------------- export
@@ -688,7 +604,6 @@ pub fn export_chrome_json(trace: &Trace) -> String {
             Phase::FlowBegin | Phase::FlowStep | Phase::FlowEnd => {
                 write!(out, ",\"id\":\"{:#x}\"", e.id).unwrap();
             }
-            Phase::Begin | Phase::End => {}
         }
         write!(out, ",\"args\":{{\"v\":{}}}}}", e.arg).unwrap();
     }
@@ -698,9 +613,7 @@ pub fn export_chrome_json(trace: &Trace) -> String {
 
 // ------------------------------------------------- analysis helpers
 
-/// A closed slice reconstructed from a trace: a matched
-/// [`Phase::Begin`]/[`Phase::End`] pair or a [`Phase::Complete`]
-/// record.
+/// A slice read back from a trace: one [`Phase::Complete`] record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRec {
     /// Subsystem.
@@ -709,7 +622,7 @@ pub struct SpanRec {
     pub tid: u32,
     /// Event name.
     pub name: &'static str,
-    /// Dynamic label of the opening event.
+    /// Dynamic label.
     pub detail: Detail,
     /// Start timestamp (category domain).
     pub ts: u64,
@@ -717,42 +630,20 @@ pub struct SpanRec {
     pub dur: u64,
 }
 
-/// Reconstruct closed slices: `Complete` events directly, plus
-/// `Begin`/`End` pairs matched per `(category, track)` with a stack
-/// (unmatched begins are dropped). Events must be per-track ordered —
-/// what [`Tracer::take`] produces.
-pub fn pair_spans(events: &[Event]) -> Vec<SpanRec> {
-    let mut stacks: BTreeMap<(u32, u32), Vec<&Event>> = BTreeMap::new();
-    let mut out = Vec::new();
-    for e in events {
-        match e.phase {
-            Phase::Complete => out.push(SpanRec {
-                cat: e.cat,
-                tid: e.tid,
-                name: e.name,
-                detail: e.detail,
-                ts: e.ts,
-                dur: e.dur,
-            }),
-            Phase::Begin => {
-                stacks.entry((e.cat.pid(), e.tid)).or_default().push(e);
-            }
-            Phase::End => {
-                if let Some(open) = stacks.get_mut(&(e.cat.pid(), e.tid)).and_then(|s| s.pop()) {
-                    out.push(SpanRec {
-                        cat: open.cat,
-                        tid: open.tid,
-                        name: open.name,
-                        detail: open.detail,
-                        ts: open.ts,
-                        dur: e.ts.saturating_sub(open.ts),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+/// The slices of a trace: every `Complete` record, in event order.
+pub fn spans(events: &[Event]) -> Vec<SpanRec> {
+    events
+        .iter()
+        .filter(|e| e.phase == Phase::Complete)
+        .map(|e| SpanRec {
+            cat: e.cat,
+            tid: e.tid,
+            name: e.name,
+            detail: e.detail,
+            ts: e.ts,
+            dur: e.dur,
+        })
+        .collect()
 }
 
 /// A completed causal flow (both `FlowBegin` and `FlowEnd` present).
@@ -823,12 +714,10 @@ pub fn flows(events: &[Event]) -> Vec<FlowRec> {
 }
 
 /// Check trace well-formedness: per-track timestamps non-decreasing
-/// (retrospective `Complete` records exempt), every `End` matches an
-/// open `Begin` of the same name, no slice left open, and each flow
-/// id begins before it steps or ends. Returns the first violation.
+/// (retrospective `Complete` records exempt) and each flow id begins
+/// before it steps or ends, once. Returns the first violation.
 pub fn validate(events: &[Event]) -> Result<(), String> {
     let mut last_ts: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    let mut stacks: BTreeMap<(u32, u32), Vec<&Event>> = BTreeMap::new();
     let mut flow_state: BTreeMap<(u32, u64), (bool, bool, u64)> = BTreeMap::new();
     for e in events {
         let track = (e.cat.pid(), e.tid);
@@ -849,27 +738,6 @@ pub fn validate(events: &[Event]) -> Result<(), String> {
             last_ts.insert(track, e.ts);
         }
         match e.phase {
-            Phase::Begin => stacks.entry(track).or_default().push(e),
-            Phase::End => match stacks.entry(track).or_default().pop() {
-                None => {
-                    return Err(format!(
-                        "track ({},{}): end '{}' without a begin",
-                        e.cat.name(),
-                        e.tid,
-                        e.name
-                    ))
-                }
-                Some(open) if open.name != e.name => {
-                    return Err(format!(
-                        "track ({},{}): end '{}' closes begin '{}'",
-                        e.cat.name(),
-                        e.tid,
-                        e.name,
-                        open.name
-                    ))
-                }
-                Some(_) => {}
-            },
             Phase::FlowBegin => {
                 let st = flow_state
                     .entry((e.cat.pid(), e.id))
@@ -914,21 +782,13 @@ pub fn validate(events: &[Event]) -> Result<(), String> {
             _ => {}
         }
     }
-    for (track, stack) in &stacks {
-        if let Some(open) = stack.last() {
-            return Err(format!(
-                "track ({},{}): begin '{}' never ended",
-                track.0, track.1, open.name
-            ));
-        }
-    }
     Ok(())
 }
 
 /// A generic human summary: event counts, the slowest completed flows
 /// and the longest slices, per category domain. Front ends layer
 /// domain-specific sections (critical paths, stall rankings) on top of
-/// [`flows`] and [`pair_spans`] themselves.
+/// [`flows`] and [`spans`] themselves.
 pub fn summarize(trace: &Trace) -> String {
     let mut out = String::new();
     writeln!(
@@ -950,6 +810,8 @@ pub fn summarize(trace: &Trace) -> String {
             by_cat.join(", ")
         )
         .unwrap();
+    } else if let Err(e) = validate(&trace.events) {
+        writeln!(out, "warning: malformed trace: {e}").unwrap();
     }
     let mut fl = flows(&trace.events);
     fl.sort_by_key(|f| std::cmp::Reverse(f.end_ts.saturating_sub(f.begin_ts)));
@@ -969,11 +831,11 @@ pub fn summarize(trace: &Trace) -> String {
             .unwrap();
         }
     }
-    let mut spans = pair_spans(&trace.events);
-    spans.sort_by_key(|s| std::cmp::Reverse(s.dur));
-    if !spans.is_empty() {
+    let mut sl = spans(&trace.events);
+    sl.sort_by_key(|s| std::cmp::Reverse(s.dur));
+    if !sl.is_empty() {
         writeln!(out, "longest slices:").unwrap();
-        for s in spans.iter().take(5) {
+        for s in sl.iter().take(5) {
             let label = if s.detail.is_empty() {
                 s.name.to_string()
             } else {
@@ -1068,6 +930,20 @@ mod tests {
     }
 
     #[test]
+    fn malformed_trace_summary_warns() {
+        let t = Tracer::new(16);
+        t.enable_all();
+        let r = t.recorder();
+        r.record(ev(Phase::FlowBegin, Category::Noc, 0, 1, "packet", 3));
+        r.record(ev(Phase::FlowBegin, Category::Noc, 0, 2, "packet", 3));
+        let summary = summarize(&t.take());
+        assert!(
+            summary.contains("warning: malformed trace: flow 0x3"),
+            "{summary}"
+        );
+    }
+
+    #[test]
     fn clean_trace_summary_has_no_warning() {
         let t = Tracer::new(16);
         t.enable_all();
@@ -1114,31 +990,30 @@ mod tests {
     }
 
     #[test]
-    fn spans_pair_and_flows_complete() {
+    fn spans_read_back_and_flows_complete() {
         let events = vec![
             ev(Phase::FlowBegin, Category::Noc, 0, 10, "packet", 7),
             ev(Phase::FlowStep, Category::Noc, 1, 11, "hop", 7),
             ev(Phase::FlowStep, Category::Noc, 2, 12, "hop", 7),
             ev(Phase::FlowEnd, Category::Noc, 3, 13, "packet", 7),
-            ev(Phase::Begin, Category::Batch, 0, 5, "job", 0),
-            ev(Phase::End, Category::Batch, 0, 9, "job", 0),
+            Event {
+                dur: 4,
+                ..ev(Phase::Complete, Category::Batch, 0, 5, "job", 0)
+            },
+            ev(Phase::Instant, Category::Batch, 0, 6, "cache.hit", 0),
         ];
         validate(&events).unwrap();
         let fl = flows(&events);
         assert_eq!(fl.len(), 1);
         assert_eq!(fl[0].end_ts - fl[0].begin_ts, 3);
         assert_eq!(fl[0].steps, 2);
-        let spans = pair_spans(&events);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].dur, 4);
+        let sl = spans(&events);
+        assert_eq!(sl.len(), 1);
+        assert_eq!((sl[0].name, sl[0].ts, sl[0].dur), ("job", 5, 4));
     }
 
     #[test]
     fn validate_catches_malformed_traces() {
-        let unmatched_end = vec![ev(Phase::End, Category::Batch, 0, 1, "job", 0)];
-        assert!(validate(&unmatched_end).is_err());
-        let open_begin = vec![ev(Phase::Begin, Category::Batch, 0, 1, "job", 0)];
-        assert!(validate(&open_begin).is_err());
         let backwards = vec![
             ev(Phase::Instant, Category::Noc, 0, 5, "a", 0),
             ev(Phase::Instant, Category::Noc, 0, 3, "b", 0),
@@ -1146,6 +1021,18 @@ mod tests {
         assert!(validate(&backwards).is_err());
         let orphan_step = vec![ev(Phase::FlowStep, Category::Noc, 0, 1, "hop", 9)];
         assert!(validate(&orphan_step).is_err());
+        let twice = vec![
+            ev(Phase::FlowBegin, Category::Noc, 0, 1, "packet", 9),
+            ev(Phase::FlowBegin, Category::Noc, 0, 2, "packet", 9),
+        ];
+        assert!(validate(&twice).is_err());
+        // A retrospective slice may start before the track's last
+        // timestamp: it is written when its scope closes.
+        let late_slice = vec![
+            ev(Phase::Instant, Category::Batch, 0, 5, "a", 0),
+            ev(Phase::Complete, Category::Batch, 0, 1, "job", 0),
+        ];
+        assert!(validate(&late_slice).is_ok());
     }
 
     #[test]
@@ -1156,13 +1043,16 @@ mod tests {
         r.record(ev(Phase::FlowBegin, Category::Noc, 2, 4, "packet", 0x2a));
         r.record(Event {
             detail: Detail::of("canny#15"),
-            ..ev(Phase::Begin, Category::Batch, 0, 9, "design", 0)
+            dur: 3,
+            ..ev(Phase::Complete, Category::Batch, 0, 9, "design", 0)
         });
         let json = export_chrome_json(&t.take());
         assert!(json.contains("\"schema\":\"hic-trace/v1\""));
         assert!(json.contains("\"ph\":\"b\""));
         assert!(json.contains("\"id\":\"0x2a\""));
         assert!(json.contains("\"name\":\"design canny#15\""));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert!(json.contains("\"dur\":3"));
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"pid\":1"));
         assert!(json.contains("\"tid\":2"));
@@ -1178,12 +1068,9 @@ mod tests {
 
     #[test]
     fn global_free_functions_are_safe_when_disabled() {
-        // The global tracer defaults to all-disabled; these must be
-        // cheap no-ops that never touch the TLS recorder.
-        begin(Category::Design, "noop", "x");
-        end(Category::Design, "noop");
+        // The global tracer defaults to all-disabled; this must be a
+        // cheap no-op that never touches the TLS recorder.
         instant(Category::Design, "noop", "", 0);
-        complete(Category::Design, "noop", "", 0);
         // Nothing asserted beyond "no panic": other tests running in
         // parallel may have enabled categories on the global tracer.
     }

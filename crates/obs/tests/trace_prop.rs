@@ -1,10 +1,12 @@
 //! Property tests for the flight recorder: well-formed instrumentation
-//! scripts always validate (begin/end matching, per-track monotonic
-//! timestamps), the ring bound holds for any event volume, and the
-//! Chrome trace-event export parses as JSON and round-trips through the
-//! parser unchanged.
+//! scripts always validate (per-track monotonic timestamps, flows begun
+//! before they step) and read back as properly nested slices, the ring
+//! bound holds for any event volume, and the Chrome trace-event export
+//! parses as JSON and round-trips through the parser unchanged.
 
-use hic_obs::trace::{export_chrome_json, flows, validate, Category, Detail, Event, Phase, Tracer};
+use hic_obs::trace::{
+    export_chrome_json, flows, spans, validate, Category, Detail, Event, Phase, Tracer,
+};
 use proptest::prelude::*;
 
 const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -12,9 +14,9 @@ const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
 /// Building blocks for hostile dynamic labels in the export test.
 const PALETTE: [&str; 6] = ["canny#15", "\"", "\\", "\n", "é", "a b"];
 
-/// One step of a wall-clock instrumentation script. `Close` pops the
-/// test's own stack so ends always match the innermost begin — the
-/// recorder itself imposes no discipline; [`validate`] checks it.
+/// One step of a wall-clock instrumentation script. `Open`/`Close` act
+/// like a stage guard's scope: `Close` pops the innermost open scope and
+/// writes its retrospective `Complete` slice, as the guard does on drop.
 #[derive(Debug, Clone)]
 enum Op {
     Open(usize),
@@ -28,6 +30,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Close),
         (0..NAMES.len()).prop_map(Op::Instant),
     ]
+}
+
+fn lane_ev(phase: Phase, ts: u64, dur: u64, name: &'static str) -> Event {
+    Event {
+        ts,
+        dur,
+        id: 0,
+        arg: 0,
+        name,
+        detail: Detail::EMPTY,
+        phase,
+        cat: Category::Batch,
+        tid: 0,
+    }
 }
 
 fn flow_ev(phase: Phase, ts: u64, id: u64, arg: u64) -> Event {
@@ -57,25 +73,33 @@ proptest! {
         t.enable_all();
         let r = t.recorder();
 
-        // Wall-clock lane: balanced by construction (every close pops
-        // what was actually opened, leftovers closed at the end).
-        let mut stack: Vec<&'static str> = Vec::new();
+        // Wall-clock lane on a manual clock that ticks every op: scopes
+        // close innermost-first (leftovers at the end), each writing a
+        // slice that starts where it opened.
+        let mut now = 0u64;
+        let mut stack: Vec<(&'static str, u64)> = Vec::new();
+        let mut opened = 0usize;
+        let close = |(name, ts): (&'static str, u64), now: u64| {
+            r.record(lane_ev(Phase::Complete, ts, now - ts, name));
+        };
         for op in &ops {
+            now += 1;
             match op {
                 Op::Open(i) => {
-                    r.begin(Category::Batch, NAMES[*i], Detail::EMPTY);
-                    stack.push(NAMES[*i]);
+                    stack.push((NAMES[*i], now));
+                    opened += 1;
                 }
                 Op::Close => {
-                    if let Some(name) = stack.pop() {
-                        r.end(Category::Batch, name);
+                    if let Some(open) = stack.pop() {
+                        close(open, now);
                     }
                 }
-                Op::Instant(i) => r.instant(Category::Batch, NAMES[*i], Detail::EMPTY, 7),
+                Op::Instant(i) => r.record(lane_ev(Phase::Instant, now, 0, NAMES[*i])),
             }
         }
-        while let Some(name) = stack.pop() {
-            r.end(Category::Batch, name);
+        while let Some(open) = stack.pop() {
+            now += 1;
+            close(open, now);
         }
 
         // NoC flows with manual timestamps: each id begins before it
@@ -98,6 +122,22 @@ proptest! {
             "well-formed script must validate: {:?}",
             validate(&trace.events)
         );
+        // Every scope reads back as one slice, and any two slices on the
+        // lane are disjoint or nested — never partially overlapping.
+        let sl: Vec<_> = spans(&trace.events)
+            .into_iter()
+            .filter(|s| s.cat == Category::Batch)
+            .collect();
+        prop_assert_eq!(sl.len(), opened, "one slice per scope");
+        for a in &sl {
+            for b in &sl {
+                let (a0, a1, b0, b1) = (a.ts, a.ts + a.dur, b.ts, b.ts + b.dur);
+                let disjoint = a1 <= b0 || b1 <= a0;
+                let nested = (a0 <= b0 && b1 <= a1) || (b0 <= a0 && a1 <= b1);
+                prop_assert!(disjoint || nested, "slices overlap: {:?} {:?}", a, b);
+            }
+        }
+
         let fl = flows(&trace.events);
         prop_assert_eq!(fl.len(), nflows, "every completed flow reconstructs");
         for f in &fl {

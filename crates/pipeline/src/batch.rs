@@ -202,17 +202,16 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, PipelineError> {
         plan_of.insert(token.clone(), (profile, designs, cosim));
     }
 
-    // Trace labels per job: a static stage name (the slice name must not
-    // allocate per event) plus a precomputed "app" / "app#bits" detail.
-    let labels: Vec<(&'static str, String)> = nodes
+    // Trace labels of the `job.ready` instants: "stage app[#bits]".
+    let labels: Vec<String> = nodes
         .iter()
         .map(|n| match &n.kind {
-            JobKind::Profile { app } => ("profile", app.clone()),
+            JobKind::Profile { app } => format!("profile {app}"),
             JobKind::Design { profile, bits } => {
                 let JobKind::Profile { app } = &nodes[*profile].kind else {
                     unreachable!("design depends on a profile")
                 };
-                ("design", format!("{app}#{bits}"))
+                format!("design {app}#{bits}")
             }
             JobKind::Cosim { design } => {
                 let JobKind::Design { profile, .. } = &nodes[*design].kind else {
@@ -221,7 +220,7 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, PipelineError> {
                 let JobKind::Profile { app } = &nodes[*profile].kind else {
                     unreachable!("design depends on a profile")
                 };
-                ("cosim", app.clone())
+                format!("cosim {app}")
             }
         })
         .collect();
@@ -262,13 +261,7 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, PipelineError> {
     let completed = hic_obs::global().counter("pipeline.jobs.completed");
     if trace::enabled(Category::Batch) {
         for &job in &state.lock().unwrap().ready {
-            let (stage, detail) = &labels[job];
-            trace::instant(
-                Category::Batch,
-                "job.ready",
-                &format!("{stage} {detail}"),
-                job as u64,
-            );
+            trace::instant(Category::Batch, "job.ready", &labels[job], job as u64);
         }
     }
 
@@ -296,13 +289,11 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, PipelineError> {
                         }
                     };
 
-                    // The slice runs on this worker's lane (its thread-local
-                    // recorder), so the trace shows per-lane occupancy.
-                    let (stage, detail) = &labels[job];
+                    // The stage's slice lands on this worker's lane (its
+                    // thread-local recorder), so the trace shows per-lane
+                    // occupancy.
                     busy.inc();
-                    trace::begin(Category::Batch, stage, detail);
                     let out = execute(&nodes[job].kind, &results, store, read, &cfg);
-                    trace::end(Category::Batch, stage);
                     busy.dec();
                     completed.inc();
 
@@ -315,15 +306,7 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, PipelineError> {
                         if *w == 0 {
                             st.ready.push_back(dep);
                             depth.inc();
-                            if trace::enabled(Category::Batch) {
-                                let (ds, dd) = &labels[dep];
-                                trace::instant(
-                                    Category::Batch,
-                                    "job.ready",
-                                    &format!("{ds} {dd}"),
-                                    dep as u64,
-                                );
-                            }
+                            trace::instant(Category::Batch, "job.ready", &labels[dep], dep as u64);
                         }
                     }
                     // Every finisher wakes the pool: dependents may be ready,

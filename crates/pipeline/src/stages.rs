@@ -31,6 +31,7 @@ use hic_core::{
     PlanArtifact, StableHash, Variant,
 };
 use hic_fabric::AppSpec;
+use hic_obs::trace::Category;
 use hic_profiling::CommGraph;
 use hic_sim::CosimResult;
 use serde::{Deserialize, Serialize};
@@ -133,7 +134,7 @@ pub fn profile(
     read_cache: bool,
     app: &str,
 ) -> Result<ProfileArtifact, PipelineError> {
-    let _obs = hic_obs::job::stage("profile", app);
+    let _stage = hic_obs::stage(Category::Batch, "profile", app);
     let loaded = AppSource::parse(app)?.load()?;
     match store {
         None => loaded.compute(),
@@ -188,17 +189,15 @@ fn cached_design(
     label: &str,
     compute: impl FnOnce() -> Result<InterconnectPlan, PipelineError>,
 ) -> Result<InterconnectPlan, PipelineError> {
-    // Detail is only formatted when a job context is armed — the common
-    // CLI path pays one TLS read here.
-    let _obs = if hic_obs::job::active() {
-        let bits = (knobs.duplication as u8)
-            | (knobs.shared_memory as u8) << 1
-            | (knobs.noc as u8) << 2
-            | (knobs.parallel as u8) << 3;
-        hic_obs::job::stage("design", &format!("{label}#{bits}"))
-    } else {
-        None
-    };
+    let bits = (knobs.duplication as u8)
+        | (knobs.shared_memory as u8) << 1
+        | (knobs.noc as u8) << 2
+        | (knobs.parallel as u8) << 3;
+    let _stage = hic_obs::stage(
+        Category::Batch,
+        "design",
+        format_args!("{}#{bits}", spec.name),
+    );
     match store {
         None => compute(),
         Some(s) => {
@@ -220,7 +219,7 @@ pub fn cosim(
     read_cache: bool,
     plan: &InterconnectPlan,
 ) -> Result<CosimResult, PipelineError> {
-    let _obs = hic_obs::job::stage("cosim", &plan.app.name);
+    let _stage = hic_obs::stage(Category::Batch, "cosim", &plan.app.name);
     match store {
         None => Ok(hic_sim::cosimulate(plan)),
         Some(s) => {
@@ -241,7 +240,7 @@ pub fn dse_points(
     spec: &AppSpec,
     cfg: &DesignConfig,
 ) -> Result<Vec<DsePoint>, PipelineError> {
-    let _obs = hic_obs::job::stage("dse", "");
+    let _stage = hic_obs::stage(Category::Batch, "dse", &spec.name);
     match store {
         None => hic_core::explore(spec, cfg).map_err(PipelineError::from),
         Some(s) => {

@@ -427,10 +427,7 @@ impl ArtifactStore {
         stage: &str,
         payload: &str,
     ) -> Result<(), PipelineError> {
-        use hic_obs::trace::{self, Category};
-        // A retrospective slice recorded only when the write succeeds, so
-        // the `?` exits below can never leave a span unbalanced.
-        let t0 = trace::enabled(Category::Batch).then(trace::now_us);
+        let _stage = hic_obs::stage(hic_obs::trace::Category::Batch, "publish", stage);
         let path = self.object_path(key);
         let dir = path.parent().expect("object path has a parent");
         fs::create_dir_all(dir)?;
@@ -451,9 +448,6 @@ impl ArtifactStore {
         fs::rename(&tmp, &path)?;
         self.touch(key);
         self.evict_to_cap();
-        if let Some(t0) = t0 {
-            trace::complete(Category::Batch, "publish", stage, t0);
-        }
         Ok(())
     }
 

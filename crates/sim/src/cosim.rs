@@ -82,16 +82,12 @@ impl CosimResult {
 /// [`HybridNetwork`]. Baseline plans have no NoC; they fall through to
 /// the transfer-level simulator.
 pub fn cosimulate(plan: &InterconnectPlan) -> CosimResult {
-    use hic_obs::trace::{self, Category};
+    use hic_obs::trace::Category;
     let reg = hic_obs::global();
-    let _run = reg.span("cosim.run");
+    let _run = hic_obs::stage(Category::Sim, "cosim.run", &plan.app.name);
     reg.counter("cosim.runs").inc();
-    let trace_t0 = trace::enabled(Category::Sim).then(trace::now_us);
     let analytic = simulate(plan);
     let Some(noc) = &plan.noc else {
-        if let Some(t0) = trace_t0 {
-            trace::complete(Category::Sim, "cosim", &plan.app.name, t0);
-        }
         return CosimResult {
             kernel_time: analytic.kernel_time,
             app_time: analytic.app_time,
@@ -106,10 +102,10 @@ pub fn cosimulate(plan: &InterconnectPlan) -> CosimResult {
         plan.variant != Variant::Baseline,
         "baseline plans have no NoC"
     );
-    // A nested scope inside the enclosing "cosim" stage: how much of
-    // co-simulation was the NoC engine run (per-job timelines show it
-    // indented; depth-0 sums skip it, so nothing double-counts).
-    let _noc_obs = hic_obs::job::stage("noc", &plan.app.name);
+    // A nested scope: how much of co-simulation was the NoC engine run
+    // (per-job timelines show it indented; depth-0 sums skip it, so
+    // nothing double-counts).
+    let _noc = hic_obs::stage(Category::Sim, "noc", &plan.app.name);
 
     let app = &plan.app;
     let bus = plan.config.bus;
@@ -296,9 +292,6 @@ pub fn cosimulate(plan: &InterconnectPlan) -> CosimResult {
         .add(result.app_time.as_ps());
     reg.gauge("cosim.slowdown_vs_analytic_permille")
         .set((result.slowdown_vs_analytic() * 1000.0).round() as u64);
-    if let Some(t0) = trace_t0 {
-        trace::complete(Category::Sim, "cosim", &plan.app.name, t0);
-    }
     result
 }
 
