@@ -423,6 +423,17 @@ fn read_head(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
     }
 }
 
+/// The method and path of a request head: the first two
+/// whitespace-separated words of its first line, lossily decoded as
+/// UTF-8. A missing word is empty, which [`MetricsServer`] answers with
+/// a 400; it never fails on any bytes.
+pub fn parse_request_line(head: &[u8]) -> (String, String) {
+    let head = String::from_utf8_lossy(head);
+    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+    let mut word = || parts.next().unwrap_or("").to_string();
+    (word(), word())
+}
+
 /// Read one request, write one response, close. Tolerates partial or
 /// garbage requests (responds 400) — a scrape target must never wedge
 /// on a bad client.
@@ -437,14 +448,12 @@ fn respond(
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     // An oversized head parses as an empty request line, which is a 400.
     let head = read_head(&mut stream)?.unwrap_or_default();
-    let head = String::from_utf8_lossy(&head);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let (method, path) = parse_request_line(&head);
     // HEAD is GET minus the body: same status, same headers (including
     // Content-Length of the body we did not send).
     let body_suppressed = method == "HEAD";
-    let lookup = if body_suppressed { "GET" } else { method };
-    let (status, ctype, body) = match (lookup, path) {
+    let lookup = if body_suppressed { "GET" } else { &method };
+    let (status, ctype, body) = match (lookup, path.as_str()) {
         ("GET", "/metrics") => {
             let body = render_prometheus_full(&reg.snapshot(), store, labeled);
             ("200 OK", PROMETHEUS_CONTENT_TYPE, body)

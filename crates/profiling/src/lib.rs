@@ -22,6 +22,18 @@
 //!   adds one byte to the edge `f → g` and inserts `a` into the edge's UMA
 //!   set.
 //!
+//! Both structures are paged so that no byte costs a hash operation. The
+//! shadow is a table of 4 KiB pages keyed by `addr >> 12`, each holding
+//! one `u32` per address (the last writer's index + 1, 0 = never
+//! written), with a small direct-mapped cache of recently used pages in
+//! front of it. A write fills one slice per page it touches; a read
+//! walks the bytes one page slice at a time and charges each run of
+//! bytes from one writer in bulk, and a read of a page nobody wrote
+//! counts cold reads without allocating it. Each edge keeps its UMA set as a bitset paged the same
+//! way (512 B per 4 KiB of addresses) plus a running count, and the edge
+//! accumulators sit in a `Vec` behind a `(src, dst)` index with a cache
+//! for the last pair.
+//!
 //! [`graph::CommGraph`] is the queryable result; it exports Graphviz DOT
 //! (Fig. 5) and collapses to the kernel-level [`hic_fabric::CommEdge`] list
 //! that the design algorithm consumes.

@@ -1,16 +1,187 @@
 //! The shadow-memory tracer.
+//!
+//! State is paged and array-indexed rather than hashed per byte. The
+//! shadow memory is a set of 4 KiB pages, each one `u32` per address
+//! holding the last writer's index + 1 (0 = never written); a page table
+//! keyed by `addr >> 12` finds a page, and a cache of the last few pages
+//! used skips the lookup while accesses stay on them. Each producer→consumer pair
+//! keeps its unique addresses in a bitset paged the same way (512 B per
+//! 4 KiB of addresses) plus a running count, so a UMA insert is one bit
+//! test. Reads walk the shadow one page slice at a time and charge each
+//! run of bytes from one writer in bulk.
 
 use crate::graph::{CommGraph, GraphEdge};
 use crate::record::{self, Recording, TraceOp};
 use hic_fabric::FunctionId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+
+/// Address bits covered by one page of shadow cells or UMA bits.
+const PAGE_BITS: u32 = 12;
+/// Addresses per page.
+const PAGE: usize = 1 << PAGE_BITS;
+/// `u64` words in one page of UMA bits.
+const PAGE_WORDS: usize = PAGE / 64;
+
+/// Split the byte range `addr..addr + len` at page boundaries into
+/// `(page, offset, bytes)` slices, in address order.
+fn page_slices(mut addr: u64, mut len: u64) -> impl Iterator<Item = (u64, usize, usize)> {
+    std::iter::from_fn(move || {
+        if len == 0 {
+            return None;
+        }
+        let off = (addr & (PAGE as u64 - 1)) as usize;
+        let n = len.min((PAGE - off) as u64) as usize;
+        let slice = (addr >> PAGE_BITS, off, n);
+        addr = addr.wrapping_add(n as u64);
+        len -= n as u64;
+        Some(slice)
+    })
+}
+
+/// Pages a [`PageTable`] remembers without hashing, direct-mapped by the
+/// low bits of the page number. A kernel that streams from an input
+/// buffer to an output buffer alternates between two pages; one entry
+/// would re-hash on every access.
+const RECENT: usize = 8;
+
+/// Sparse page table: page number → dense page index, with a small
+/// direct-mapped cache of recently used pages in front of the map. The
+/// map keeps the default hasher: page numbers come from trace files too.
+#[derive(Debug)]
+struct PageTable {
+    index: HashMap<u64, usize>,
+    /// `(page, index)` pairs; `u64::MAX` marks an empty slot, as page
+    /// numbers are below `2^52`.
+    recent: [(u64, usize); RECENT],
+}
+
+impl Default for PageTable {
+    fn default() -> Self {
+        PageTable {
+            index: HashMap::new(),
+            recent: [(u64::MAX, 0); RECENT],
+        }
+    }
+}
+
+impl PageTable {
+    /// Dense index of `page`, if it was ever allocated.
+    fn find(&mut self, page: u64) -> Option<usize> {
+        let slot = &mut self.recent[page as usize % RECENT];
+        if slot.0 == page {
+            return Some(slot.1);
+        }
+        let i = *self.index.get(&page)?;
+        *slot = (page, i);
+        Some(i)
+    }
+
+    /// Dense index of `page`, allocating the next index if it is new;
+    /// the flag is `true` when it was.
+    fn find_or_insert(&mut self, page: u64) -> (usize, bool) {
+        if let Some(i) = self.find(page) {
+            return (i, false);
+        }
+        let i = self.index.len();
+        self.index.insert(page, i);
+        self.recent[page as usize % RECENT] = (page, i);
+        (i, true)
+    }
+}
+
+/// Last writer of every written address.
+#[derive(Debug, Default)]
+struct Shadow {
+    table: PageTable,
+    /// Pages back to back, [`PAGE`] cells each: writer index + 1, or 0.
+    cells: Vec<u32>,
+}
+
+impl Shadow {
+    /// Offset of `page`'s first cell, if the page was ever written.
+    fn find(&mut self, page: u64) -> Option<usize> {
+        self.table.find(page).map(|i| i * PAGE)
+    }
+
+    /// Offset of `page`'s first cell, allocating a zeroed page if needed.
+    fn find_or_alloc(&mut self, page: u64) -> usize {
+        let (i, fresh) = self.table.find_or_insert(page);
+        if fresh {
+            self.cells.resize(self.cells.len() + PAGE, 0);
+        }
+        i * PAGE
+    }
+}
+
+/// A set of addresses as a paged bitset with a running size.
+#[derive(Debug, Default)]
+struct AddrSet {
+    table: PageTable,
+    /// Pages back to back, [`PAGE_WORDS`] words each.
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl AddrSet {
+    /// Insert the `n` addresses from `off` on `page` (`off + n <= PAGE`).
+    fn insert_run(&mut self, page: u64, off: usize, n: usize) {
+        let (i, fresh) = self.table.find_or_insert(page);
+        if fresh {
+            self.words.resize(self.words.len() + PAGE_WORDS, 0);
+        }
+        let words = &mut self.words[i * PAGE_WORDS..(i + 1) * PAGE_WORDS];
+        let (mut bit, end) = (off, off + n);
+        while bit < end {
+            let (w, lo) = (bit / 64, bit % 64);
+            let hi = (end - w * 64).min(64);
+            let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+            self.len += u64::from((mask & !words[w]).count_ones());
+            words[w] |= mask;
+            bit = w * 64 + hi;
+        }
+    }
+}
 
 /// Accumulator for one producer→consumer pair.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug)]
 struct PairAcc {
+    src: FunctionId,
+    dst: FunctionId,
     bytes: u64,
-    umas: HashSet<u64>,
+    umas: AddrSet,
+}
+
+/// Every pair's accumulator, in first-seen order, with a cache for runs
+/// of bytes from the same writer.
+#[derive(Debug, Default)]
+struct Pairs {
+    accs: Vec<PairAcc>,
+    index: HashMap<(FunctionId, FunctionId), usize>,
+    last: Option<(FunctionId, FunctionId, usize)>,
+}
+
+impl Pairs {
+    fn get(&mut self, src: FunctionId, dst: FunctionId) -> &mut PairAcc {
+        let i = match self.last {
+            Some((s, d, i)) if (s, d) == (src, dst) => i,
+            _ => {
+                let next = self.accs.len();
+                let i = *self.index.entry((src, dst)).or_insert(next);
+                if i == next {
+                    self.accs.push(PairAcc {
+                        src,
+                        dst,
+                        bytes: 0,
+                        umas: AddrSet::default(),
+                    });
+                }
+                self.last = Some((src, dst, i));
+                i
+            }
+        };
+        &mut self.accs[i]
+    }
 }
 
 /// Per-function access counters (useful for locating compute hot spots and
@@ -43,8 +214,8 @@ impl FnStats {
 pub struct Profiler {
     names: Vec<String>,
     stack: Vec<FunctionId>,
-    shadow: HashMap<u64, FunctionId>,
-    pairs: HashMap<(FunctionId, FunctionId), PairAcc>,
+    shadow: Shadow,
+    pairs: Pairs,
     stats: Vec<FnStats>,
     /// `Some` when this profiler was claimed by [`record::arm`]; filled
     /// with the operation stream and deposited thread-locally on drop.
@@ -130,8 +301,10 @@ impl Profiler {
         }
         let cur = self.current();
         self.stats[cur.index()].bytes_written += len;
-        for a in addr..addr + len {
-            self.shadow.insert(a, cur);
+        let cell = cur.0 + 1;
+        for (page, off, n) in page_slices(addr, len) {
+            let base = self.shadow.find_or_alloc(page) + off;
+            self.shadow.cells[base..base + n].fill(cell);
         }
     }
 
@@ -143,17 +316,38 @@ impl Profiler {
         }
         let cur = self.current();
         self.stats[cur.index()].bytes_read += len;
-        for a in addr..addr + len {
-            match self.shadow.get(&a) {
-                Some(&w) if w != cur => {
-                    let acc = self.pairs.entry((w, cur)).or_default();
-                    acc.bytes += 1;
-                    acc.umas.insert(a);
+        let own = cur.0 + 1;
+        let mut cold = 0u64;
+        for (page, off, n) in page_slices(addr, len) {
+            let Some(base) = self.shadow.find(page) else {
+                cold += n as u64;
+                continue;
+            };
+            let cells = &self.shadow.cells[base + off..base + off + n];
+            let mut i = 0;
+            while i < n {
+                let w = cells[i];
+                let run = cells[i..].iter().position(|&c| c != w).unwrap_or(n - i);
+                match w {
+                    0 => cold += run as u64,
+                    // self-communication is function-local, not an edge
+                    _ if w == own => {}
+                    _ => {
+                        let acc = self.pairs.get(FunctionId::new(w - 1), cur);
+                        acc.bytes += run as u64;
+                        acc.umas.insert_run(page, off + i, run);
+                    }
                 }
-                Some(_) => {} // self-communication is function-local, not an edge
-                None => self.stats[cur.index()].cold_reads += 1,
+                i += run;
             }
         }
+        self.stats[cur.index()].cold_reads += cold;
+    }
+
+    /// Shadow pages allocated so far.
+    #[cfg(test)]
+    fn shadow_pages(&self) -> usize {
+        self.shadow.cells.len() / PAGE
     }
 
     /// Access counters of a function.
@@ -163,7 +357,7 @@ impl Profiler {
 
     /// Total bytes attributed to cross-function edges so far.
     pub fn total_edge_bytes(&self) -> u64 {
-        self.pairs.values().map(|p| p.bytes).sum()
+        self.pairs.accs.iter().map(|p| p.bytes).sum()
     }
 
     /// Publish the run's aggregate access statistics into `reg` under
@@ -187,10 +381,10 @@ impl Profiler {
         reg.counter(&format!("{prefix}.bytes.written")).add(written);
         reg.counter(&format!("{prefix}.cold_reads")).add(cold);
         reg.counter(&format!("{prefix}.edges"))
-            .add(self.pairs.len() as u64);
+            .add(self.pairs.accs.len() as u64);
         reg.counter(&format!("{prefix}.edge_bytes"))
             .add(self.total_edge_bytes());
-        let umas: u64 = self.pairs.values().map(|p| p.umas.len() as u64).sum();
+        let umas: u64 = self.pairs.accs.iter().map(|p| p.umas.len).sum();
         reg.counter(&format!("{prefix}.edge_umas")).add(umas);
     }
 
@@ -198,12 +392,13 @@ impl Profiler {
     pub fn graph(&self) -> CommGraph {
         let mut edges: Vec<GraphEdge> = self
             .pairs
+            .accs
             .iter()
-            .map(|(&(src, dst), acc)| GraphEdge {
-                src,
-                dst,
+            .map(|acc| GraphEdge {
+                src: acc.src,
+                dst: acc.dst,
                 bytes: acc.bytes,
-                umas: acc.umas.len() as u64,
+                umas: acc.umas.len,
             })
             .collect();
         edges.sort_by_key(|e| (e.src, e.dst));
@@ -330,6 +525,24 @@ mod tests {
         p.exit();
         assert!(p.graph().edges.is_empty());
         assert_eq!(p.fn_stats(a).cold_reads, 4);
+    }
+
+    #[test]
+    fn reading_unwritten_memory_allocates_no_shadow_page() {
+        let mut p = Profiler::new();
+        let a = p.register("a");
+        p.enter(a);
+        p.read(0x10_0000, 3 * PAGE as u64 + 5);
+        p.read(u64::MAX - 9000, 9000);
+        assert_eq!(p.shadow_pages(), 0);
+        p.write(0x2000, 8);
+        p.read(0x2000 - 4, PAGE as u64); // straddles an unwritten page
+        p.exit();
+        assert_eq!(p.shadow_pages(), 1);
+        assert_eq!(
+            p.fn_stats(a).cold_reads,
+            3 * PAGE as u64 + 5 + 9000 + PAGE as u64 - 8
+        );
     }
 
     #[test]

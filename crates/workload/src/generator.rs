@@ -312,4 +312,31 @@ mod tests {
         assert_eq!(again.graph, g.workload.graph);
         assert_eq!(again.app, g.workload.app);
     }
+
+    #[test]
+    fn the_largest_access_a_spec_can_draw_parses_and_replays() {
+        // bytes and skew at their maxima, every edge a hotspot, no
+        // re-reads; seed 32 draws the top jitter of 150%.
+        let spec = GenSpec::parse("k=1,skew=100,bytes=1048576,uma=100,comm=64,seed=32").unwrap();
+        let trace = synthesize_trace(&spec);
+        let longest = trace
+            .events
+            .iter()
+            .map(|e| match e {
+                TraceEvent::Write { len, .. } | TraceEvent::Read { len, .. } => *len,
+                _ => 0,
+            })
+            .max()
+            .unwrap();
+        assert_eq!(longest, (1 << 20) * 150 / 100 * 8);
+        assert!(longest <= crate::MAX_ACCESS_BYTES);
+        let parsed = Trace::parse(&trace.render()).unwrap();
+        assert_eq!(parsed.events, trace.events);
+        let w = replay(&parsed, &spec.app_name()).unwrap();
+        assert!(w
+            .graph
+            .edges
+            .iter()
+            .any(|e| e.bytes == longest && e.umas == longest));
+    }
 }

@@ -36,7 +36,7 @@ pub mod tracefmt;
 pub use generator::{generate, synthesize_trace, Generated};
 pub use genspec::{GenSpec, GenSpecError};
 pub use replay::replay;
-pub use tracefmt::{Trace, TraceError, TraceEvent};
+pub use tracefmt::{Trace, TraceError, TraceEvent, MAX_ACCESS_BYTES};
 
 use hic_fabric::AppSpec;
 use hic_profiling::CommGraph;

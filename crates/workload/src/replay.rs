@@ -9,7 +9,9 @@
 //! The profiler panics on malformed use (unbalanced `exit`, accesses
 //! outside any scope); replay pre-validates each event and turns those
 //! cases into [`TraceError`]s carrying the offending source line
-//! instead. Scopes still open at end-of-trace are implicitly closed
+//! instead. Accesses out of the parser's bounds are refused the same
+//! way, so a trace built with [`Trace::from_events`] cannot get past
+//! them either. Scopes still open at end-of-trace are implicitly closed
 //! (the profiler itself never requires balance).
 //!
 //! **Kernel promotion rule.** The first function the trace enters is
@@ -23,7 +25,7 @@
 //! have no trace counterpart, so they derive deterministically from a
 //! hash of the function name.
 
-use crate::tracefmt::{Trace, TraceError, TraceEvent};
+use crate::tracefmt::{check_access, Trace, TraceError, TraceEvent};
 use crate::Workload;
 use hic_fabric::resource::Resources;
 use hic_fabric::time::Frequency;
@@ -75,6 +77,7 @@ pub fn replay(trace: &Trace, name: &str) -> Result<Workload, TraceError> {
                         msg: "write outside any function scope".into(),
                     });
                 }
+                check_access(*addr, *len).map_err(|msg| TraceError { line, msg })?;
                 prof.write(*addr, *len);
             }
             TraceEvent::Read { addr, len } => {
@@ -84,6 +87,7 @@ pub fn replay(trace: &Trace, name: &str) -> Result<Workload, TraceError> {
                         msg: "read outside any function scope".into(),
                     });
                 }
+                check_access(*addr, *len).map_err(|msg| TraceError { line, msg })?;
                 prof.read(*addr, *len);
             }
         }
@@ -248,6 +252,21 @@ mod tests {
         assert!(e.msg.contains("outside any function scope"), "{e}");
         let e = replay(&parse("enter a\nexit\nread 0 4\n"), "x").unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn out_of_bounds_accesses_built_in_code_are_structured_errors() {
+        let t = Trace::from_events(vec![
+            TraceEvent::Enter("a".into()),
+            TraceEvent::Write { addr: 0, len: 8 },
+            TraceEvent::Read {
+                addr: 0,
+                len: crate::tracefmt::MAX_ACCESS_BYTES + 1,
+            },
+        ]);
+        let e = replay(&t, "x").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("limit of one access"), "{e}");
     }
 
     #[test]

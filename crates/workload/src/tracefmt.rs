@@ -13,7 +13,9 @@
 //! read <addr> <len>      # current function reads len bytes at addr
 //! ```
 //!
-//! `<addr>` and `<len>` are unsigned integers, decimal or `0x`-hex.
+//! `<addr>` and `<len>` are unsigned integers, decimal or `0x`-hex. An
+//! access may not run past the end of the address space, nor be longer
+//! than [`MAX_ACCESS_BYTES`].
 //! `func` lines are optional for hand-written traces (an `enter` of an
 //! unknown name registers it), but emitted traces always declare every
 //! function up front so the replayed profiler registers names in the
@@ -27,6 +29,25 @@
 
 use hic_profiling::{Recording, TraceOp};
 use std::fmt::Write as _;
+
+/// Longest single access a trace may carry: 16 MiB. The generator's
+/// largest access is 12 MiB (1 MiB mean × 150% jitter × 8 for a hotspot
+/// edge); a longer one is refused instead of replayed byte by byte.
+pub const MAX_ACCESS_BYTES: u64 = 1 << 24;
+
+/// Why the access `addr`/`len` is out of bounds, if it is: it overflows
+/// the address space or exceeds [`MAX_ACCESS_BYTES`].
+pub(crate) fn check_access(addr: u64, len: u64) -> Result<(), String> {
+    if addr.checked_add(len).is_none() {
+        return Err(format!("{addr}+{len} overflows the address space"));
+    }
+    if len > MAX_ACCESS_BYTES {
+        return Err(format!(
+            "length {len} exceeds the {MAX_ACCESS_BYTES}-byte limit of one access"
+        ));
+    }
+    Ok(())
+}
 
 /// One trace line, parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,9 +186,7 @@ fn parse_event(s: &str, line: usize) -> Result<TraceEvent, TraceError> {
                 .ok_or_else(|| err(format!("{kw} needs <addr> <len>")))?;
             let addr = parse_u64(addr).ok_or_else(|| err(format!("bad address '{addr}'")))?;
             let len = parse_u64(len).ok_or_else(|| err(format!("bad length '{len}'")))?;
-            if addr.checked_add(len).is_none() {
-                return Err(err(format!("{addr}+{len} overflows the address space")));
-            }
+            check_access(addr, len).map_err(err)?;
             if kw == "write" {
                 TraceEvent::Write { addr, len }
             } else {
@@ -244,6 +263,18 @@ mod tests {
         assert!(e.msg.contains("trailing"), "{e}");
         let e = Trace::parse(&format!("write {} 2\n", u64::MAX)).unwrap_err();
         assert!(e.msg.contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn accesses_longer_than_the_limit_are_rejected_with_their_line() {
+        let ok = format!("func a\nenter a\nwrite 0 {MAX_ACCESS_BYTES}\n");
+        assert!(Trace::parse(&ok).is_ok());
+        let e = Trace::parse("func a\nenter a\nwrite 0 18446744073709551614\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("exceeds"), "{e}");
+        let e = Trace::parse(&format!("read 0x10 {}\n", MAX_ACCESS_BYTES + 1)).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.msg.contains("limit of one access"), "{e}");
     }
 
     #[test]
