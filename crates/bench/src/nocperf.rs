@@ -511,7 +511,8 @@ pub struct SpatialOverheadPoint {
 /// spatial configurations, rather than reusing `baseline`'s rates:
 /// interleaving keeps all three configurations under the same machine
 /// conditions, so the ratios measure accounting cost instead of drift
-/// between benchmark phases. `baseline` supplies the load points; as
+/// between benchmark phases. The order within a round rotates from one
+/// round to the next. `baseline` supplies the load points; as
 /// with [`measure_trace_overhead`], only the classic uniform trio.
 pub fn measure_spatial_overhead(
     side: u16,
@@ -532,35 +533,33 @@ pub fn measure_spatial_overhead(
         let mut rounds: Vec<(f64, f64, f64)> = Vec::with_capacity(repeats as usize);
         let mut windowed_windows = 0usize;
         let mut windowed_flows = 0usize;
-        for _ in 0..repeats {
-            // Baseline: no spatial layer at all.
-            let mut net = Network::new(cfg);
-            net.set_record_mode(RecordMode::Stats);
-            let t = Instant::now();
-            drive_schedule(&mut net, &schedule, 16, cycles);
-            let base_secs = t.elapsed().as_secs_f64();
-
-            // Off-but-armed: the layer is attached so the per-step site
-            // pays its branch, but no windows close and no flows record.
-            let mut net = Network::new(cfg);
-            net.set_record_mode(RecordMode::Stats);
-            net.enable_spatial(SpatialConfig::minimal());
-            let t = Instant::now();
-            drive_schedule(&mut net, &schedule, 16, cycles);
-            let off_secs = t.elapsed().as_secs_f64();
-
-            // Windowed: full matrices + flow attribution, 1024-cycle
-            // windows (what `hic heatmap` and the cosim artifact use).
-            let mut net = Network::new(cfg);
-            net.set_record_mode(RecordMode::Stats);
-            net.enable_spatial(SpatialConfig::windowed(1024));
-            let t = Instant::now();
-            drive_schedule(&mut net, &schedule, 16, cycles);
-            let windowed_secs = t.elapsed().as_secs_f64();
-            windowed_windows = net.spatial_windows().len();
-            windowed_flows = net.flow_totals().map_or(0, |m| m.len());
-
-            rounds.push((base_secs, off_secs, windowed_secs));
+        for round in 0..repeats as usize {
+            // Three configurations of the same traffic: no spatial layer
+            // at all; attached but inert, so the per-step site pays its
+            // branch but no windows close and no flows record; full
+            // matrices plus flow attribution in 1024-cycle windows (what
+            // `hic heatmap` and the cosim artifact use). Each round
+            // rotates which runs first, so no configuration always takes
+            // the round's cold start.
+            let mut secs = [0.0f64; 3];
+            for k in 0..3 {
+                let which = (round + k) % 3;
+                let mut net = Network::new(cfg);
+                net.set_record_mode(RecordMode::Stats);
+                match which {
+                    1 => net.enable_spatial(SpatialConfig::minimal()),
+                    2 => net.enable_spatial(SpatialConfig::windowed(1024)),
+                    _ => {}
+                }
+                let t = Instant::now();
+                drive_schedule(&mut net, &schedule, 16, cycles);
+                secs[which] = t.elapsed().as_secs_f64();
+                if which == 2 {
+                    windowed_windows = net.spatial_windows().len();
+                    windowed_flows = net.flow_totals().map_or(0, |m| m.len());
+                }
+            }
+            rounds.push((secs[0], secs[1], secs[2]));
         }
 
         let best =

@@ -337,6 +337,9 @@ fn noc_spatial_windowed_key(label: &str) -> String {
     format!("noc.spatial_windowed@{label}")
 }
 
+/// Interleaved rounds behind each `noc.spatial_*` sample.
+const SPATIAL_REPEATS: u32 = 5;
+
 /// Re-run the benchmarks and collect per-gate samples. `quick` trades
 /// statistical depth for CI latency: fewer and shorter runs (the
 /// rel_floor part of the band carries the verdict when MAD has little
@@ -360,10 +363,12 @@ pub fn collect_samples(quick: bool) -> Samples {
                 .or_default()
                 .push(p.fast_cycles_per_sec);
         }
-        // Spatial-accounting overhead rides each NoC round: one paired
-        // ratio per load point per round, so MAD sees real run-to-run
-        // scatter and widens the band on noisy machines.
-        for p in crate::nocperf::measure_spatial_overhead(8, cycles, 1, &run.points) {
+        // Spatial-accounting overhead rides each NoC round: per load
+        // point, the median of SPATIAL_REPEATS paired ratios from
+        // interleaved runs whose order rotates, so one slow run or the
+        // round's cold start cannot sink the gate. Each NoC round adds
+        // one sample, so MAD still sees run-to-run scatter.
+        for p in crate::nocperf::measure_spatial_overhead(8, cycles, SPATIAL_REPEATS, &run.points) {
             samples
                 .entry(noc_spatial_off_key(&p.label))
                 .or_default()
@@ -469,9 +474,10 @@ pub fn gate_specs(b: &Baselines) -> Vec<GateSpec> {
         // The bench-time bars (≥0.98x inert, ≥0.90x windowed, minus the
         // run's own noise band) carry the tight claim with 7 interleaved
         // repeats; the check-time floors are looser because each fresh
-        // sample here is a single paired round — they catch structural
-        // regressions (accounting accidentally always-on, a lock on the
-        // step path), not percent-level drift.
+        // sample here is the median of only SPATIAL_REPEATS short paired
+        // rounds — they catch structural regressions (accounting
+        // accidentally always-on, a lock on the step path), not
+        // percent-level drift.
         specs.push(GateSpec {
             name: noc_spatial_off_key(label),
             baseline: *off,

@@ -1,13 +1,15 @@
 //! # hic-cli — command-line front end
 //!
-//! The `hic` binary drives the whole toolflow over JSON application specs:
+//! The `hic` binary drives the whole toolflow over application sources:
+//! the built-in profiled apps, `gen:` synthetic workloads, `trace:`
+//! memory-access traces and `file:` JSON application specs.
 //!
 //! ```text
 //! hic generate --shape chain --kernels 6 --seed 7 > app.json
-//! hic design app.json                      # synthesize + describe
-//! hic design app.json --variant noc-only --json
-//! hic estimate app.json                    # all three variants side by side
-//! hic simulate app.json --frames 16
+//! hic design file:app.json                 # synthesize + describe
+//! hic design gen:k=8,seed=1 --variant noc-only --json
+//! hic estimate jpeg                        # all three variants side by side
+//! hic simulate file:app.json --frames 16
 //! hic profile jpeg                         # run a real profiled app, emit its spec
 //! hic dse jpeg --json                      # the 2^4 knob lattice + Pareto front
 //! hic batch canny jpeg klt fluid --json    # parallel multi-app compilation
@@ -95,10 +97,10 @@ pub enum GenEmit {
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Synthesize an interconnect for an app spec file.
+    /// Synthesize an interconnect for an app.
     Design {
-        /// Path to the AppSpec JSON.
-        path: String,
+        /// Any app source.
+        app: String,
         /// System variant.
         variant: Variant,
         /// Emit the full plan as JSON instead of the description.
@@ -106,15 +108,15 @@ pub enum Command {
         /// Artifact cache settings.
         cache: CacheOpts,
     },
-    /// Compare all three variants on an app spec.
+    /// Compare all three variants on an app.
     Estimate {
-        /// Path to the AppSpec JSON.
-        path: String,
+        /// Any app source.
+        app: String,
     },
     /// Simulate the hybrid system.
     Simulate {
-        /// Path to the AppSpec JSON.
-        path: String,
+        /// Any app source.
+        app: String,
         /// Number of back-to-back frames.
         frames: u64,
     },
@@ -329,10 +331,12 @@ impl From<hic_pipeline::PipelineError> for CliError {
     fn from(e: hic_pipeline::PipelineError) -> Self {
         // An unknown app name or a malformed app source (bad `gen:`
         // grammar, invalid spec file) is an argument mistake, not a
-        // runtime failure — route it to the usage/exit-2 path.
+        // runtime failure — route it to the usage/exit-2 path. A file
+        // that cannot be read (a missing `file:` spec) is an I/O failure.
         match e {
             hic_pipeline::PipelineError::UnknownApp(_)
             | hic_pipeline::PipelineError::BadSource(_) => CliError::Usage(e.to_string()),
+            hic_pipeline::PipelineError::Io(m) => CliError::Io(std::io::Error::other(m)),
             other => CliError::Pipeline(other),
         }
     }
@@ -345,6 +349,17 @@ fn check_app_source(app: &str) -> Result<(), CliError> {
     hic_pipeline::AppSource::parse(app)
         .map(|_| ())
         .map_err(CliError::from)
+}
+
+/// The app-source argument of `design`, `estimate` or `simulate`,
+/// checked like every other command's.
+fn app_arg(args: &[String], cmd: &str) -> Result<String, CliError> {
+    let app = args
+        .get(1)
+        .filter(|a| !a.starts_with("--"))
+        .ok_or_else(|| CliError::Usage(format!("{cmd} needs an app")))?;
+    check_app_source(app)?;
+    Ok(app.clone())
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -392,11 +407,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
         "design" => {
-            let path = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| CliError::Usage("design needs an app.json path".into()))?
-                .clone();
+            let app = app_arg(args, "design")?;
             let variant = match flag_value(args, "--variant").unwrap_or("hybrid") {
                 "hybrid" => Variant::Hybrid,
                 "baseline" => Variant::Baseline,
@@ -408,24 +419,17 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
             };
             Ok(Command::Design {
-                path,
+                app,
                 variant,
                 json: args.iter().any(|a| a == "--json"),
                 cache: cache_opts(args),
             })
         }
         "estimate" => Ok(Command::Estimate {
-            path: args
-                .get(1)
-                .ok_or_else(|| CliError::Usage("estimate needs an app.json path".into()))?
-                .clone(),
+            app: app_arg(args, "estimate")?,
         }),
         "simulate" => Ok(Command::Simulate {
-            path: args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| CliError::Usage("simulate needs an app.json path".into()))?
-                .clone(),
+            app: app_arg(args, "simulate")?,
             frames: flag_value(args, "--frames")
                 .map(|v| {
                     v.parse::<u64>()
@@ -696,9 +700,9 @@ pub fn usage() -> &'static str {
     "hic — Hybrid Interconnect Compiler
 
 USAGE:
-  hic design   <app.json> [--variant hybrid|baseline|noc-only] [--json]
-  hic estimate <app.json>
-  hic simulate <app.json> [--frames N]
+  hic design   <app> [--variant hybrid|baseline|noc-only] [--json]
+  hic estimate <app>
+  hic simulate <app> [--frames N]
   hic generate [--shape chain|fanout|diamond|random] [--kernels N] [--seed S]
   hic gen      <app> [--emit-spec|--emit-dot|--emit-trace|--summary] [-o FILE]
   hic profile  <app>
@@ -714,7 +718,7 @@ USAGE:
   hic trace    <app> [--noc|--batch] [--sample N] [-o FILE]
   hic help
 
-APP SOURCES (profile, report, heatmap, dse, batch, top, trace, gen, serve jobs):
+APP SOURCES (every command that takes <app>, and serve jobs):
   canny|jpeg|klt|fluid      built-in profiled paper applications
   gen:<spec>                seeded synthetic workload, e.g. gen:k=8,seed=7
                             (keys: k fanout skew comm hostio bytes uma seed)
@@ -864,25 +868,6 @@ fn run_profiled(
 ) -> Result<(AppSpec, hic_profiling::CommGraph), CliError> {
     let p = stages::profile(store, read, app)?;
     Ok((p.spec, p.graph))
-}
-
-/// Load an `AppSpec` JSON file through the app-resolution layer — the
-/// same `file:` source `batch`/`serve` accept, with the prefix optional
-/// here since `design`/`estimate`/`simulate` take a path positionally.
-/// A missing file is a runtime I/O failure (exit 1); a file that reads
-/// but holds an invalid spec is an argument mistake (exit 2, usage).
-fn load_app(path: &str) -> Result<AppSpec, CliError> {
-    let bare = path.strip_prefix("file:").unwrap_or(path);
-    let loaded = hic_pipeline::AppSource::File(std::path::PathBuf::from(bare))
-        .load()
-        .map_err(|e| match e {
-            hic_pipeline::PipelineError::Io(m) => CliError::Io(std::io::Error::other(m)),
-            other => CliError::from(other),
-        })?;
-    match loaded {
-        hic_pipeline::LoadedSource::File { spec } => Ok(spec),
-        _ => unreachable!("a File source always loads as File"),
-    }
 }
 
 /// Materialize the memory-access trace of an app source: built-in apps
@@ -1241,13 +1226,13 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
     match cmd {
         Command::Help => Ok(usage().to_string()),
         Command::Design {
-            path,
+            app,
             variant,
             json,
             cache,
         } => {
-            let app = load_app(&path)?;
             let store = open_store(&cache)?;
+            let (app, _graph) = run_profiled(store.as_ref(), cache.read, &app)?;
             let plan = stages::design_variant(store.as_ref(), cache.read, &app, &cfg, variant)?;
             if json {
                 Ok(serde_json::to_string_pretty(&PlanSummary::of(&plan))?)
@@ -1255,8 +1240,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 Ok(plan.describe())
             }
         }
-        Command::Estimate { path } => {
-            let app = load_app(&path)?;
+        Command::Estimate { app } => {
+            let (app, _graph) = run_profiled(None, false, &app)?;
             let mut out = String::new();
             let sw = simulate_software(&app);
             writeln!(
@@ -1290,8 +1275,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        Command::Simulate { path, frames } => {
-            let app = load_app(&path)?;
+        Command::Simulate { app, frames } => {
+            let (app, _graph) = run_profiled(None, false, &app)?;
             let plan = design(&app, &cfg, Variant::Hybrid)?;
             let mut out = String::new();
             if frames == 1 {
@@ -1798,15 +1783,15 @@ mod tests {
 
     #[test]
     fn parses_design_with_flags() {
-        let cmd = parse(&argv("design app.json --variant noc-only --json")).unwrap();
+        let cmd = parse(&argv("design file:app.json --variant noc-only --json")).unwrap();
         match cmd {
             Command::Design {
-                path,
+                app,
                 variant,
                 json,
                 cache,
             } => {
-                assert_eq!(path, "app.json");
+                assert_eq!(app, "file:app.json");
                 assert_eq!(variant, Variant::NocOnly);
                 assert!(json);
                 assert!(cache.dir.is_some(), "parser always resolves a cache dir");
@@ -1831,10 +1816,18 @@ mod tests {
     #[test]
     fn rejects_bad_variant_and_missing_path() {
         assert!(matches!(
-            parse(&argv("design app.json --variant bogus")),
+            parse(&argv("design file:app.json --variant bogus")),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(parse(&argv("design")), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn design_estimate_simulate_reject_a_bare_path() {
+        for cmd in ["design", "estimate", "simulate"] {
+            let err = parse(&argv(&format!("{cmd} app.json"))).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmd}: {err:?}");
+        }
     }
 
     #[test]
@@ -1868,29 +1861,27 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("app.json");
         std::fs::write(&path, &json).unwrap();
+        let app = format!("file:{}", path.display());
         let out = run(Command::Design {
-            path: path.to_string_lossy().into_owned(),
+            app: app.clone(),
             variant: Variant::Hybrid,
             json: false,
             cache: CacheOpts::disabled(),
         })
         .unwrap();
         assert!(out.contains("solution"), "{out}");
-        let est = run(Command::Estimate {
-            path: path.to_string_lossy().into_owned(),
-        })
-        .unwrap();
+        let est = run(Command::Estimate { app }).unwrap();
         assert!(est.contains("baseline"));
         assert!(est.contains("hybrid"));
     }
 
     #[test]
     fn simulate_parses_frames() {
-        let cmd = parse(&argv("simulate app.json --frames 8")).unwrap();
+        let cmd = parse(&argv("simulate file:app.json --frames 8")).unwrap();
         assert_eq!(
             cmd,
             Command::Simulate {
-                path: "app.json".into(),
+                app: "file:app.json".into(),
                 frames: 8
             }
         );
@@ -1909,7 +1900,7 @@ mod tests {
         let path = dir.join("app.json");
         std::fs::write(&path, &json).unwrap();
         let out = run(Command::Design {
-            path: path.to_string_lossy().into_owned(),
+            app: format!("file:{}", path.display()),
             variant: Variant::Hybrid,
             json: true,
             cache: CacheOpts::disabled(),
@@ -2467,7 +2458,7 @@ mod tests {
         // Parsed fine, failed at runtime (missing file): exit 1, no usage
         // dump. Regression: this used to exit 2 and print the usage text,
         // indistinguishable from a typo.
-        let f = dispatch(&argv("design /no/such/file.json")).unwrap_err();
+        let f = dispatch(&argv("design file:/no/such/file.json")).unwrap_err();
         assert_eq!(f.exit_code, 1);
         assert!(!f.show_usage);
         assert!(f.message.contains("io error"), "{}", f.message);

@@ -32,6 +32,9 @@ fn report_json_covers_every_metric_family() {
     assert!(counters["design.runs"].as_u64().unwrap() >= 1);
     assert!(counters["design.noc_routers"].as_u64().unwrap() > 0);
 
+    // Placement: the exhaustive search's priced assignments.
+    assert!(counters["noc.place.exhaustive_leaves"].as_u64().unwrap() > 0);
+
     // NoC: link traffic and utilization from the co-simulated mesh.
     assert!(counters["noc.flits.forwarded"].as_u64().unwrap() > 0);
     let gauges = &v["gauges"];

@@ -2,8 +2,10 @@
 //! full-recompute search, on every input. The reference searches below
 //! follow the same scan orders and tie rules but price every candidate
 //! by rebuilding a node → coordinate map and re-summing every traffic
-//! edge. Random instances cover 1..32 nodes, spare routers, duplicate,
-//! self and zero-byte edges, and several RNG seeds and restart counts.
+//! edge. Random instances cover 1..64 nodes, spare routers, duplicate,
+//! self and zero-byte edges, tie-heavy byte counts, byte counts whose
+//! `bytes × hops` overflows `u64` (the references sum in `u128`), and
+//! several RNG seeds and restart counts.
 
 use hic_fabric::{KernelId, MemoryId};
 use hic_noc::placement::{place_exhaustive, place_greedy, NocNode, Placement, Traffic};
@@ -18,7 +20,7 @@ fn reference_exhaustive(mesh: Mesh, nodes: &[NocNode], traffic: &Traffic) -> Pla
     assert!(mesh.len() >= nodes.len());
     let slots: Vec<Coord> = (0..mesh.len()).map(|i| mesh.coord(i)).collect();
     let mut order: Vec<usize> = (0..nodes.len()).collect();
-    let mut best: Option<(u64, Placement)> = None;
+    let mut best: Option<(u128, Placement)> = None;
     permute(&mut order, 0, &mut |perm| {
         let placement = Placement {
             mesh,
@@ -28,7 +30,7 @@ fn reference_exhaustive(mesh: Mesh, nodes: &[NocNode], traffic: &Traffic) -> Pla
                 .map(|(&n, &s)| (n, slots[s]))
                 .collect(),
         };
-        let c = placement.cost(traffic);
+        let c = wide_cost(&placement, traffic);
         if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
             best = Some((c, placement));
         }
@@ -57,7 +59,7 @@ fn reference_greedy(
 ) -> Placement {
     assert!(mesh.len() >= nodes.len());
     let all_slots: Vec<Coord> = (0..mesh.len()).map(|i| mesh.coord(i)).collect();
-    let mut best: Option<(u64, Placement)> = None;
+    let mut best: Option<(u128, Placement)> = None;
 
     for _ in 0..restarts.max(1) {
         let mut slots = all_slots.clone();
@@ -98,11 +100,19 @@ fn reference_greedy(
     best.expect("restarts >= 1").1
 }
 
-fn cost_of(nodes: &[NocNode], assign: &[Coord], traffic: &Traffic) -> u64 {
+fn cost_of(nodes: &[NocNode], assign: &[Coord], traffic: &Traffic) -> u128 {
     let idx: BTreeMap<NocNode, Coord> = nodes.iter().copied().zip(assign.iter().copied()).collect();
     traffic
         .iter()
-        .map(|&(a, b, bytes)| bytes * idx[&a].manhattan(idx[&b]) as u64)
+        .map(|&(a, b, bytes)| u128::from(bytes) * u128::from(idx[&a].manhattan(idx[&b])))
+        .sum()
+}
+
+/// [`Placement::cost`] summed in `u128`, exact for any `u64` byte counts.
+fn wide_cost(p: &Placement, traffic: &Traffic) -> u128 {
+    traffic
+        .iter()
+        .map(|&(a, b, bytes)| u128::from(bytes) * u128::from(p.coord(a).manhattan(p.coord(b))))
         .sum()
 }
 
@@ -140,6 +150,19 @@ fn bytes() -> impl Strategy<Value = u64> {
 
 fn edges() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
     proptest::collection::vec((0usize..64, 0usize..64, bytes()), 0..48)
+}
+
+/// Bytes in {0, 1, 2}: many placements tie, so the first-minimum rule
+/// decides the result.
+fn tie_edges() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
+    proptest::collection::vec((0usize..64, 0usize..64, 0u64..3), 0..32)
+}
+
+/// Byte counts near `u64::MAX`, mixed with small ones: a single edge of
+/// two or more hops overflows `u64`.
+fn huge_edges() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
+    let bytes = prop_oneof![1u64..16, (1u64 << 62)..u64::MAX];
+    proptest::collection::vec((0usize..64, 0usize..64, bytes), 1..32)
 }
 
 /// Every node on a distinct router of the mesh.
@@ -228,6 +251,104 @@ proptest! {
         let mesh = Mesh::at_least(n + spare);
         let fast = place_exhaustive(mesh, &nodes, &traffic);
         prop_assert_eq!(&fast, &reference_exhaustive(mesh, &nodes, &traffic));
+        assert_injective(&fast);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn exhaustive_keeps_the_first_minimum_among_ties(
+        n in 6usize..9,
+        spare in 0usize..3,
+        kinds in proptest::collection::vec(any::<bool>(), 1..5),
+        raw in tie_edges(),
+        dups in 0usize..4,
+    ) {
+        let nodes = nodes_of(n, &kinds);
+        let traffic = traffic_of(&nodes, &raw, dups);
+        let mesh = Mesh::at_least(n + spare);
+        let fast = place_exhaustive(mesh, &nodes, &traffic);
+        prop_assert_eq!(&fast, &reference_exhaustive(mesh, &nodes, &traffic));
+    }
+
+    #[test]
+    fn exhaustive_matches_at_seven_and_eight_nodes_with_spare_routers(
+        n in 7usize..9,
+        spare in 1usize..3,
+        kinds in proptest::collection::vec(any::<bool>(), 1..5),
+        raw in edges(),
+        dups in 0usize..4,
+    ) {
+        let nodes = nodes_of(n, &kinds);
+        let traffic = traffic_of(&nodes, &raw, dups);
+        let mesh = Mesh::at_least(n + spare);
+        prop_assert!(mesh.len() > n);
+        let fast = place_exhaustive(mesh, &nodes, &traffic);
+        prop_assert_eq!(&fast, &reference_exhaustive(mesh, &nodes, &traffic));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn exhaustive_is_exact_when_bytes_times_hops_overflows_u64(
+        n in 2usize..9,
+        spare in 0usize..3,
+        kinds in proptest::collection::vec(any::<bool>(), 1..5),
+        raw in huge_edges(),
+    ) {
+        let nodes = nodes_of(n, &kinds);
+        let traffic = traffic_of(&nodes, &raw, 0);
+        let mesh = Mesh::at_least(n + spare);
+        let fast = place_exhaustive(mesh, &nodes, &traffic);
+        prop_assert_eq!(&fast, &reference_exhaustive(mesh, &nodes, &traffic));
+    }
+
+    #[test]
+    fn greedy_is_exact_when_bytes_times_hops_overflows_u64(
+        n in 1usize..32,
+        spare in 0usize..4,
+        kinds in proptest::collection::vec(any::<bool>(), 1..5),
+        raw in huge_edges(),
+        seed in any::<u64>(),
+        restarts in 0usize..9,
+    ) {
+        let nodes = nodes_of(n, &kinds);
+        let traffic = traffic_of(&nodes, &raw, 0);
+        let mesh = Mesh::at_least(n + spare);
+        let mut fast_rng = StdRng::seed_from_u64(seed);
+        let mut slow_rng = StdRng::seed_from_u64(seed);
+        let fast = place_greedy(mesh, &nodes, &traffic, &mut fast_rng, restarts);
+        let slow = reference_greedy(mesh, &nodes, &traffic, &mut slow_rng, restarts);
+        prop_assert_eq!(&fast, &slow);
+        prop_assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn greedy_matches_the_reference_up_to_64_nodes(
+        n in 32usize..65,
+        spare in 0usize..4,
+        kinds in proptest::collection::vec(any::<bool>(), 1..5),
+        raw in proptest::collection::vec((0usize..64, 0usize..64, bytes()), 0..96),
+        seed in any::<u64>(),
+        restarts in 1usize..3,
+    ) {
+        let nodes = nodes_of(n, &kinds);
+        let traffic = traffic_of(&nodes, &raw, 0);
+        let mesh = Mesh::at_least(n + spare);
+        let mut fast_rng = StdRng::seed_from_u64(seed);
+        let mut slow_rng = StdRng::seed_from_u64(seed);
+        let fast = place_greedy(mesh, &nodes, &traffic, &mut fast_rng, restarts);
+        let slow = reference_greedy(mesh, &nodes, &traffic, &mut slow_rng, restarts);
+        prop_assert_eq!(&fast, &slow);
+        prop_assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
         assert_injective(&fast);
     }
 }
