@@ -407,9 +407,9 @@ pub fn collect_samples(quick: bool) -> Samples {
     samples.insert("serve.p50_ms".into(), vec![s.p50_ms]);
     samples.insert("serve.p99_ms".into(), vec![s.p99_ms]);
     // The logging-overhead ratio gates hard at ≥0.95, so it gets the
-    // interleaved median estimator, not a one-shot pair (±15% noisy on
-    // short storms).
-    let ratio_rounds = if quick { 4 } else { 5 };
+    // paired median of interleaved rounds with a rotating order, not a
+    // one-shot pair (±15% noisy on short storms).
+    let ratio_rounds = if quick { 9 } else { 11 };
     samples.insert(
         "serve.log_ratio".into(),
         vec![crate::serveperf::measure_log_ratio(

@@ -511,7 +511,6 @@ fn design_with(
                 clock: app.kernel_clock,
                 flit_payload: cfg.flit_payload,
                 buffer_flits: cfg.noc_buffer_flits,
-                routing: hic_noc::Routing::Xy,
             },
             placement,
             kernel_nodes,

@@ -28,7 +28,6 @@
 pub mod artifact;
 pub mod classify;
 pub mod design;
-pub mod diff;
 pub mod dse;
 pub mod estimate;
 pub mod mapping;
@@ -44,7 +43,6 @@ pub use design::{
     design, design_custom, DesignConfig, DesignError, DesignKnobs, InterconnectPlan,
     KernelPlanEntry, NocPlan, ParallelTransform, Variant,
 };
-pub use diff::{deployable_without_reconfig, diff as plan_diff, PlanDiff};
 pub use dse::{explore, explore_seq, knobs_at, lattice, pareto_front, point_of, DsePoint};
 pub use estimate::{InterconnectResources, SystemResources};
 pub use mapping::{adaptive_map, mem_port_plan, Attach, KernelAttach, MemAttach};

@@ -32,7 +32,7 @@ impl LatencyModel {
 
     /// No-load delivery latency in cycles of a single packet.
     pub fn packet_cycles(&self, src: Coord, dst: Coord, bytes: u64) -> u64 {
-        let hops = src.manhattan(dst) as u64;
+        let hops = self.cfg.mesh.route(src, dst).len() as u64;
         hops + 1 + (self.flits(bytes) - 1)
     }
 
@@ -45,7 +45,7 @@ impl LatencyModel {
     /// pipeline is limited by serialization, so the message takes about
     /// `flits + hops` cycles total.
     pub fn stream_cycles(&self, src: Coord, dst: Coord, bytes: u64) -> u64 {
-        let hops = src.manhattan(dst) as u64;
+        let hops = self.cfg.mesh.route(src, dst).len() as u64;
         self.flits(bytes) + hops + 1
     }
 
@@ -55,7 +55,7 @@ impl LatencyModel {
     /// producer finishes. This is the small non-hidden remainder of `Δn`.
     pub fn tail_residual_cycles(&self, src: Coord, dst: Coord) -> u64 {
         // One maximal packet's worth of serialization plus the route.
-        let hops = src.manhattan(dst) as u64;
+        let hops = self.cfg.mesh.route(src, dst).len() as u64;
         hops + 1
     }
 

@@ -5,7 +5,8 @@
 //! following the scalable QoS router of Heisswolf et al. (ISPAW 2012) that
 //! the paper adapts into its system.
 //!
-//! * [`topology`] — mesh coordinates, XY routing, Manhattan distances.
+//! * [`topology`] — mesh coordinates and the XY route ([`Mesh::route`]),
+//!   the one definition of a path that every other module reads.
 //! * [`flit`] — packets and their flit serialization.
 //! * [`router`] — the five-port input-buffered wormhole router and its WRR
 //!   arbiter.
@@ -26,8 +27,6 @@
 //!   full-system simulator, validated against the flit simulator.
 //! * [`traffic`] — synthetic traffic patterns (uniform, transpose,
 //!   complement, hotspot, neighbor) and offered-load/latency sweeps.
-//! * [`qos`] — traffic-proportional WRR weight derivation (the QoS knob of
-//!   the Heisswolf router), programmed per router×input-port.
 
 #![warn(missing_docs)]
 
@@ -37,7 +36,6 @@ pub mod flit;
 pub mod latency;
 pub mod network;
 pub mod placement;
-pub mod qos;
 pub mod reference;
 pub mod router;
 pub mod topology;
@@ -48,14 +46,13 @@ pub use engine::{EngineKind, HybridConfig, HybridNetwork, SkipStats};
 pub use flit::{Flit, FlitKind, Packet, PacketId};
 pub use latency::LatencyModel;
 pub use network::{
-    DeliveredPacket, DrainTimeout, FlowTotals, IdleJumpError, LinkRef, NetMetrics, Network,
-    NocConfig, NocStats, RecordMode, SpatialConfig, SpatialWindow,
+    DeliveredPacket, DrainTimeout, FlowTotals, IdleJumpError, NetMetrics, Network, NocConfig,
+    NocStats, RecordMode, SpatialConfig, SpatialWindow,
 };
 pub use placement::{
     place, place_exhaustive, place_greedy, place_naive, NocNode, Placement, Traffic,
 };
-pub use qos::{derive_weights, WeightPlan};
 pub use reference::ReferenceNetwork;
-pub use router::{MoveSet, Router, WrrArbiter, PORTS};
-pub use topology::{Coord, Direction, Mesh, Routing};
+pub use router::{Router, WrrArbiter, PORTS};
+pub use topology::{Coord, Direction, LinkRef, Mesh};
 pub use traffic::{load_sweep, LoadPoint, Pattern};

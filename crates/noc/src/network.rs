@@ -56,7 +56,8 @@
 
 use crate::flit::{Flit, FlitKind, Packet, PacketId};
 use crate::router::{OutputLock, WrrArbiter, PORTS};
-use crate::topology::{Coord, Direction, Mesh, Routing};
+pub use crate::topology::LinkRef;
+use crate::topology::{Coord, Direction, Mesh};
 use hic_fabric::time::Frequency;
 use hic_obs::trace::{Category, Detail, Event, Phase, Recorder, Tracer};
 use serde::{Deserialize, Serialize};
@@ -79,7 +80,7 @@ fn unpack_move(pm: u8) -> (usize, usize, bool) {
 }
 
 /// The moves one router decided this cycle, packed small so the decide →
-/// apply hand-off copies 12 bytes per router instead of a full `MoveSet`.
+/// apply hand-off copies 12 bytes per router.
 #[derive(Debug, Clone, Copy)]
 struct PackedMoves {
     router: u32,
@@ -99,8 +100,6 @@ pub struct NocConfig {
     pub flit_payload: u32,
     /// Input FIFO depth in flits.
     pub buffer_flits: usize,
-    /// Routing algorithm.
-    pub routing: Routing,
 }
 
 impl NocConfig {
@@ -112,7 +111,6 @@ impl NocConfig {
             clock: Frequency::from_mhz(100),
             flit_payload: 4,
             buffer_flits: 4,
-            routing: Routing::Xy,
         }
     }
 }
@@ -269,28 +267,6 @@ pub struct NetMetrics {
     /// the answer is deterministic. (Missing in older serialized metrics;
     /// the serde shim defaults an absent `Option` field to `None`.)
     pub busiest_link: Option<LinkRef>,
-}
-
-/// A directed inter-router link, named by the router it exits, the router
-/// it enters, and the output port it leaves through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct LinkRef {
-    /// Router the link exits.
-    pub from: Coord,
-    /// Router the link enters.
-    pub to: Coord,
-    /// Output direction at `from`.
-    pub dir: Direction,
-}
-
-impl std::fmt::Display for LinkRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "({},{})->({},{}) {:?}",
-            self.from.x, self.from.y, self.to.x, self.to.y, self.dir
-        )
-    }
 }
 
 impl NetMetrics {
@@ -572,14 +548,13 @@ impl std::fmt::Display for IdleJumpError {
 
 impl std::error::Error for IdleJumpError {}
 
-/// Read-only view of the state the decide phase consults: topology,
-/// routing tables, and the pre-move FIFO snapshot. One `DecideCtx` is
-/// shared by every router deciding in a [`Network::step`], which is what
-/// makes the snapshot semantics (“every router decides against the same
-/// pre-move state”) hold by construction.
+/// Read-only view of the state the decide phase consults: topology and
+/// the pre-move FIFO snapshot. One `DecideCtx` is shared by every router
+/// deciding in a [`Network::step`], which is what makes the snapshot
+/// semantics (“every router decides against the same pre-move state”)
+/// hold by construction.
 struct DecideCtx<'a> {
     mesh: Mesh,
-    routing: Routing,
     cap: u32,
     buffer_flits: usize,
     nbr: &'a [[u32; PORTS]],
@@ -680,9 +655,9 @@ fn decide_router(
         }
     }
 
-    // A head flit's requested output depends only on the space snapshot,
-    // so it is computed once per input: `req[d]` collects the requesters
-    // of output `d` as a bitmask of input ports. An input requests exactly
+    // A head flit requests the one XY output toward its destination, so
+    // it is computed once per input: `req[d]` collects the requesters of
+    // output `d` as a bitmask of input ports. An input requests exactly
     // one output, so the masks stay valid through the arbitration phase.
     let mut req = [0u8; PORTS];
     let mut req_outs: u8 = 0;
@@ -692,18 +667,7 @@ fn decide_router(
         rm &= rm - 1;
         let front = cx.front(i, p);
         if front.kind.is_head() {
-            let opts = cx.mesh.route_choices(cx.coords[i], front.dst, cx.routing);
-            let sl = opts.as_slice();
-            // First option whose downstream has space, else the first
-            // option (wait there).
-            let mut pick = sl[0].index();
-            for o in sl {
-                let oi = o.index();
-                if has_space!(oi) {
-                    pick = oi;
-                    break;
-                }
-            }
+            let pick = cx.mesh.xy_route(cx.coords[i], front.dst).index();
             req[pick] |= 1 << p;
             req_outs |= 1 << pick;
         }
@@ -1229,13 +1193,6 @@ impl Network {
         self.record
     }
 
-    /// Program the WRR weights of one router's output arbiters.
-    pub fn set_router_weights(&mut self, at: Coord, weights: [u32; PORTS]) {
-        assert!(self.cfg.mesh.contains(at), "router off mesh");
-        let idx = self.cfg.mesh.index(at);
-        self.arbs[idx] = std::array::from_fn(|_| WrrArbiter::new(weights));
-    }
-
     /// Hand a message to the source node for injection. The message is
     /// serialized into flits and trickles into the network as buffer space
     /// allows.
@@ -1391,7 +1348,6 @@ impl Network {
         moves.clear();
         let cx = DecideCtx {
             mesh: self.cfg.mesh,
-            routing: self.cfg.routing,
             cap: self.cfg.buffer_flits as u32,
             buffer_flits: self.cfg.buffer_flits,
             nbr: &self.nbr,
@@ -1775,79 +1731,6 @@ mod tests {
         n.send(Coord::new(0, 1), Coord::new(3, 1), 256);
         let both_cycles = n.run_until_drained(10_000).unwrap();
         assert_eq!(solo_cycles, both_cycles);
-    }
-
-    #[test]
-    fn west_first_delivers_everything_under_random_traffic() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(21);
-        let mesh = Mesh::new(4, 4);
-        let mut n = Network::new(NocConfig {
-            routing: Routing::WestFirst,
-            ..NocConfig::paper_default(mesh)
-        });
-        let mut sent_bytes = 0u64;
-        let mut sent = 0usize;
-        for _ in 0..300 {
-            let s = mesh.coord(rng.gen_range(0..mesh.len()));
-            let d = mesh.coord(rng.gen_range(0..mesh.len()));
-            let bytes = rng.gen_range(0..96);
-            n.send(s, d, bytes);
-            sent += 1;
-            sent_bytes += bytes;
-            for _ in 0..rng.gen_range(0..3) {
-                n.step();
-            }
-        }
-        n.run_until_drained(500_000)
-            .expect("west-first must be deadlock-free");
-        assert_eq!(n.delivered().len(), sent);
-        assert_eq!(
-            n.delivered().iter().map(|p| p.bytes).sum::<u64>(),
-            sent_bytes
-        );
-        // Minimal routing: every latency respects the Manhattan bound.
-        for p in n.delivered() {
-            assert!(p.latency() > p.src.manhattan(p.dst) as u64);
-        }
-    }
-
-    #[test]
-    fn adaptive_routing_routes_around_a_congested_column() {
-        // Persistent north→south traffic saturates column x=1; a flow from
-        // (0,0) to (1,2) that XY would force through that column can adapt
-        // under west-first (go south along x=0, enter the column late).
-        let mesh = Mesh::new(3, 3);
-        let run = |routing: Routing| -> f64 {
-            let mut n = Network::new(NocConfig {
-                routing,
-                ..NocConfig::paper_default(mesh)
-            });
-            for round in 0..120 {
-                n.send(Coord::new(1, 0), Coord::new(1, 2), 32); // column hog
-                if round % 2 == 0 {
-                    n.send(Coord::new(0, 0), Coord::new(1, 2), 8); // victim
-                }
-                for _ in 0..4 {
-                    n.step();
-                }
-            }
-            let _ = n.run_until_drained(200_000);
-            let lat: Vec<u64> = n
-                .delivered()
-                .iter()
-                .filter(|p| p.src == Coord::new(0, 0))
-                .map(|p| p.latency())
-                .collect();
-            lat.iter().sum::<u64>() as f64 / lat.len() as f64
-        };
-        let xy = run(Routing::Xy);
-        let wf = run(Routing::WestFirst);
-        assert!(
-            wf <= xy * 1.05,
-            "adaptive west-first should not lose: wf {wf:.1} vs xy {xy:.1}"
-        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! be mapped to the NoC routers in such a way that the distance of these
 //! routers is shortest" — ideally adjacent. We solve the general problem:
 //! given the traffic matrix between NoC nodes, find the assignment of nodes
-//! to router coordinates minimizing total `bytes × hops` (XY hop count ==
-//! Manhattan distance). Up to 8 nodes (the sizes the paper's applications
+//! to router coordinates minimizing total `bytes × hops` (the length of
+//! [`Mesh::route`]). Up to 8 nodes (the sizes the paper's applications
 //! produce) an exhaustive search over the first `n` router slots finds the
 //! cheapest assignment to those slots; it never tries a mesh's spare
 //! routers, so it is not always optimal over the whole mesh. Beyond that,
@@ -68,7 +68,9 @@ impl Placement {
     pub fn cost(&self, traffic: &Traffic) -> u64 {
         traffic
             .iter()
-            .map(|&(a, b, bytes)| bytes * self.coord(a).manhattan(self.coord(b)) as u64)
+            .map(|&(a, b, bytes)| {
+                bytes * self.mesh.route(self.coord(a), self.coord(b)).len() as u64
+            })
             .sum()
     }
 
@@ -146,7 +148,7 @@ impl Problem {
         let coords: Vec<Coord> = (0..mesh.len()).map(|s| mesh.coord(s)).collect();
         let hops = coords
             .iter()
-            .flat_map(|&p| coords.iter().map(move |&q| p.manhattan(q)))
+            .flat_map(|&p| coords.iter().map(move |&q| mesh.route(p, q).len() as u32))
             .collect();
         Problem {
             mesh,
@@ -434,7 +436,7 @@ mod tests {
         let traffic = vec![(k(0), m(1), 1_000_000), (k(1), m(0), 1)];
         let mut rng = StdRng::seed_from_u64(1);
         let p = place(&nodes, &traffic, &mut rng);
-        assert_eq!(p.coord(k(0)).manhattan(p.coord(m(1))), 1);
+        assert_eq!(p.mesh.route(p.coord(k(0)), p.coord(m(1))).len(), 1);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl ReferenceNetwork {
 
         let mut all_moves: Vec<(usize, Vec<Move>)> = Vec::with_capacity(self.routers.len());
         for i in 0..self.routers.len() {
-            let moves = self.routers[i].decide_routed(mesh, self.cfg.routing, space[i]);
+            let moves = self.routers[i].decide(mesh, space[i]);
             if !moves.is_empty() {
                 all_moves.push((i, moves));
             }

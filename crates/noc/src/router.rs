@@ -12,7 +12,7 @@
 use crate::flit::{Flit, PacketId};
 #[cfg(test)]
 use crate::topology::Direction;
-use crate::topology::{Coord, Mesh, Routing};
+use crate::topology::{Coord, Mesh};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -102,25 +102,6 @@ pub struct Move {
     pub is_tail: bool,
 }
 
-/// The moves one router decided this cycle — at most one per output port,
-/// held in a fixed array so deciding allocates nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MoveSet {
-    moves: [Option<Move>; PORTS],
-}
-
-impl MoveSet {
-    /// True when nothing moves this cycle.
-    pub fn is_empty(&self) -> bool {
-        self.moves.iter().all(|m| m.is_none())
-    }
-
-    /// The decided moves, in output-port order.
-    pub fn iter(&self) -> impl Iterator<Item = Move> + '_ {
-        self.moves.iter().flatten().copied()
-    }
-}
-
 impl Router {
     /// A router with the given input-buffer capacity (in flits) and uniform
     /// arbitration weights.
@@ -133,11 +114,6 @@ impl Router {
             arbiters: std::array::from_fn(|_| WrrArbiter::uniform()),
             capacity,
         }
-    }
-
-    /// Replace the arbitration weights of every output.
-    pub fn set_weights(&mut self, weights: [u32; PORTS]) {
-        self.arbiters = std::array::from_fn(|_| WrrArbiter::new(weights));
     }
 
     /// Free slots in an input FIFO.
@@ -171,20 +147,6 @@ impl Router {
     /// can accept one flit this cycle (the local/ejection output is always
     /// ready). At most one move per output and per input is produced.
     pub fn decide(&mut self, mesh: Mesh, downstream_space: [bool; PORTS]) -> Vec<Move> {
-        self.decide_routed(mesh, Routing::Xy, downstream_space)
-    }
-
-    /// [`decide`](Self::decide) with an explicit routing algorithm. Under a
-    /// partially adaptive algorithm, a head flit with several legal outputs
-    /// requests the first one whose downstream has buffer space
-    /// (congestion-aware selection); if none has space it requests its
-    /// first option and waits.
-    pub fn decide_routed(
-        &mut self,
-        mesh: Mesh,
-        routing: Routing,
-        downstream_space: [bool; PORTS],
-    ) -> Vec<Move> {
         let mut moves = Vec::new();
         // Inputs already committed to some output this cycle (an input can
         // feed only one output per cycle).
@@ -220,16 +182,8 @@ impl Router {
                     continue;
                 }
                 if let Some(front) = self.inputs[i].front() {
-                    if front.kind.is_head() {
-                        let opts = mesh.route_options(self.coord, front.dst, routing);
-                        let preferred = opts
-                            .iter()
-                            .copied()
-                            .find(|o| downstream_space[o.index()])
-                            .unwrap_or(opts[0]);
-                        if preferred.index() == d {
-                            requesting[i] = true;
-                        }
+                    if front.kind.is_head() && mesh.xy_route(self.coord, front.dst).index() == d {
+                        requesting[i] = true;
                     }
                 }
             }
@@ -252,31 +206,6 @@ impl Router {
         moves
     }
 
-    /// [`decide_routed`](Self::decide_routed) without heap allocation: the
-    /// result lives in a fixed per-output array and routing goes through
-    /// [`Mesh::route_choices`]. Decides exactly the same moves and mutates
-    /// the locks and arbiters identically — callers with `Router`-backed
-    /// FIFOs use this; the simulator fast path (flat network-level FIFO
-    /// storage) calls [`decide_ports`] directly. The allocating
-    /// `decide_routed` remains as the reference semantics.
-    pub fn decide_routed_set(
-        &mut self,
-        mesh: Mesh,
-        routing: Routing,
-        downstream_space: [bool; PORTS],
-    ) -> MoveSet {
-        let fronts = std::array::from_fn(|i| self.inputs[i].front().copied());
-        decide_ports(
-            self.coord,
-            mesh,
-            routing,
-            downstream_space,
-            fronts,
-            &mut self.output_lock,
-            &mut self.arbiters,
-        )
-    }
-
     /// Apply one decided move, returning the forwarded flit.
     pub fn apply(&mut self, mv: Move) -> Flit {
         let flit = self.inputs[mv.input]
@@ -292,103 +221,6 @@ impl Router {
     pub fn occupancy(&self) -> usize {
         self.inputs.iter().map(|q| q.len()).sum()
     }
-}
-
-/// One router's cycle decision, detached from FIFO storage: the caller
-/// passes a copy of each input's front flit plus mutable lock/arbiter
-/// state. This is the semantic core of [`Router::decide_routed`] —
-/// same moves, same lock and arbiter mutations — shared between
-/// `Router`-backed FIFOs and the simulator's flat FIFO buffer.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub fn decide_ports(
-    coord: Coord,
-    mesh: Mesh,
-    routing: Routing,
-    downstream_space: [bool; PORTS],
-    fronts: [Option<Flit>; PORTS],
-    output_lock: &mut [Option<OutputLock>; PORTS],
-    arbiters: &mut [WrrArbiter; PORTS],
-) -> MoveSet {
-    let mut out = MoveSet::default();
-    let mut input_busy = [false; PORTS];
-
-    // Phase 1: continue established wormholes.
-    for d in 0..PORTS {
-        if let Some(lock) = output_lock[d] {
-            if input_busy[lock.input] || !downstream_space[d] {
-                continue;
-            }
-            if let Some(front) = fronts[lock.input] {
-                if front.packet == lock.packet {
-                    input_busy[lock.input] = true;
-                    out.moves[d] = Some(Move {
-                        input: lock.input,
-                        output: d,
-                        is_tail: front.kind.is_tail(),
-                    });
-                }
-            }
-        }
-    }
-
-    // A head flit's requested output depends only on the space
-    // snapshot, not on which output is being arbitrated, so it can be
-    // computed once per input rather than once per (input, output).
-    // `req[d]` collects the requesters of output `d` as a bitmask of
-    // input ports; an input requests exactly one output, so the masks
-    // stay valid across the whole arbitration phase.
-    let mut req = [0u8; PORTS];
-    for i in 0..PORTS {
-        if input_busy[i] {
-            continue;
-        }
-        if let Some(front) = fronts[i] {
-            if front.kind.is_head() {
-                let opts = mesh.route_choices(coord, front.dst, routing);
-                let pick = opts
-                    .as_slice()
-                    .iter()
-                    .copied()
-                    .find(|o| downstream_space[o.index()])
-                    .unwrap_or(opts.first());
-                req[pick.index()] |= 1 << i;
-            }
-        }
-    }
-
-    // Phase 2: arbitrate free outputs among head flits. Outputs nobody
-    // requests are skipped outright — `grant` would return `None`
-    // without touching credits anyway.
-    for d in 0..PORTS {
-        let mask = req[d];
-        if mask == 0 || output_lock[d].is_some() || !downstream_space[d] {
-            continue;
-        }
-        let winner = if mask & (mask - 1) == 0 {
-            // Sole requester: it earns its weight and immediately pays
-            // the round total (= its own weight), so granting leaves
-            // the arbiter's credits exactly as `grant` would.
-            mask.trailing_zeros() as usize
-        } else {
-            let requesting = std::array::from_fn(|i| mask & (1 << i) != 0);
-            arbiters[d].grant(requesting).expect("mask non-empty")
-        };
-        let front = fronts[winner].expect("requester has a flit");
-        input_busy[winner] = true;
-        if !front.kind.is_tail() {
-            output_lock[d] = Some(OutputLock {
-                input: winner,
-                packet: front.packet,
-            });
-        }
-        out.moves[d] = Some(Move {
-            input: winner,
-            output: d,
-            is_tail: front.kind.is_tail(),
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -521,51 +353,6 @@ mod tests {
             r.accept(0, headtail(2, Coord::new(0, 0)));
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn decide_routed_set_matches_decide_routed() {
-        // Same router state, both decide paths: identical move sets and
-        // identical resulting lock/arbiter state, across several cycles of
-        // a contended scenario.
-        let mesh = Mesh::new(3, 3);
-        let mut a = Router::new(Coord::new(1, 1), 4);
-        let p = Packet {
-            id: PacketId(1),
-            src: Coord::new(0, 1),
-            dst: Coord::new(2, 1),
-            bytes: 12,
-        };
-        for f in p.flitize(4) {
-            a.accept(Direction::West.index(), f);
-        }
-        a.accept(Direction::Local.index(), headtail(2, Coord::new(2, 1)));
-        a.accept(Direction::North.index(), headtail(3, Coord::new(1, 2)));
-        let mut b = a.clone();
-
-        let mut space = [true; PORTS];
-        for cycle in 0..4 {
-            if cycle == 2 {
-                // Throw in backpressure on East for one cycle.
-                space[Direction::East.index()] = false;
-            } else {
-                space[Direction::East.index()] = true;
-            }
-            let va = a.decide_routed(mesh, Routing::WestFirst, space);
-            let vb = b.decide_routed_set(mesh, Routing::WestFirst, space);
-            let mut sa = va.clone();
-            sa.sort_by_key(|m| m.output);
-            assert_eq!(sa, vb.iter().collect::<Vec<_>>(), "cycle {cycle}");
-            assert_eq!(vb.is_empty(), va.is_empty());
-            for m in va {
-                a.apply(m);
-            }
-            for m in vb.iter() {
-                b.apply(m);
-            }
-            assert_eq!(a.output_lock, b.output_lock);
-            assert_eq!(a.occupancy(), b.occupancy());
-        }
     }
 
     #[test]

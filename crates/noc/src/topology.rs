@@ -17,11 +17,6 @@ impl Coord {
     pub const fn new(x: u16, y: u16) -> Self {
         Coord { x, y }
     }
-
-    /// Manhattan distance to `other` — the hop count of an XY route.
-    pub fn manhattan(self, other: Coord) -> u32 {
-        (self.x.abs_diff(other.x) + self.y.abs_diff(other.y)) as u32
-    }
 }
 
 impl fmt::Display for Coord {
@@ -78,49 +73,25 @@ impl Direction {
     }
 }
 
-/// Routing algorithm for the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Routing {
-    /// Dimension-ordered (deterministic, deadlock-free).
-    Xy,
-    /// West-first turn model (partially adaptive, deadlock-free): a packet
-    /// travels all the way west first; in the remaining quadrant it may
-    /// adaptively pick among the minimal east/north/south directions.
-    WestFirst,
+/// A directed inter-router link, named by the router it exits, the router
+/// it enters, and the output port it leaves through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct LinkRef {
+    /// Router the link exits.
+    pub from: Coord,
+    /// Router the link enters.
+    pub to: Coord,
+    /// Output direction at `from`.
+    pub dir: Direction,
 }
 
-/// Fixed-capacity set of minimal route directions (at most three exist
-/// on a mesh under the supported algorithms). Returned by
-/// [`Mesh::route_choices`] so the simulator's inner loop allocates
-/// nothing per flit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteChoices {
-    dirs: [Direction; 3],
-    len: u8,
-}
-
-impl RouteChoices {
-    fn new() -> Self {
-        RouteChoices {
-            dirs: [Direction::Local; 3],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, d: Direction) {
-        self.dirs[self.len as usize] = d;
-        self.len += 1;
-    }
-
-    /// The options, in preference order.
-    pub fn as_slice(&self) -> &[Direction] {
-        &self.dirs[..self.len as usize]
-    }
-
-    /// The first (most preferred) option.
-    pub fn first(&self) -> Direction {
-        debug_assert!(self.len > 0, "empty route choices");
-        self.dirs[0]
+impl fmt::Display for LinkRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "({},{})->({},{}) {:?}",
+            self.from.x, self.from.y, self.to.x, self.to.y, self.dir
+        )
     }
 }
 
@@ -209,65 +180,25 @@ impl Mesh {
         }
     }
 
-    /// Minimal output directions toward `dst` under a routing algorithm.
-    /// At the destination the only option is `Local`.
-    pub fn route_options(self, at: Coord, dst: Coord, algo: Routing) -> Vec<Direction> {
-        self.route_choices(at, dst, algo).as_slice().to_vec()
-    }
-
-    /// [`route_options`](Self::route_options) without heap allocation: the
-    /// supported algorithms offer at most three minimal directions, so the
-    /// result fits a fixed array. The simulator hot path calls this once
-    /// per buffered head flit per cycle.
-    pub fn route_choices(self, at: Coord, dst: Coord, algo: Routing) -> RouteChoices {
-        let mut opts = RouteChoices::new();
-        if at == dst {
-            opts.push(Direction::Local);
-            return opts;
-        }
-        let west = dst.x < at.x;
-        let east = dst.x > at.x;
-        let north = dst.y < at.y;
-        let south = dst.y > at.y;
-        match algo {
-            Routing::Xy => {
-                opts.push(self.xy_route(at, dst));
-            }
-            Routing::WestFirst => {
-                // Turn model: all turns into West are forbidden, so a
-                // westbound packet must go West first (no adaptivity);
-                // otherwise any minimal direction among {E, N, S} is legal.
-                if west {
-                    // Any later turn into West is forbidden, so the whole
-                    // westward component must be consumed immediately.
-                    opts.push(Direction::West);
-                } else {
-                    if east {
-                        opts.push(Direction::East);
-                    }
-                    if north {
-                        opts.push(Direction::North);
-                    }
-                    if south {
-                        opts.push(Direction::South);
-                    }
-                }
-            }
-        }
-        debug_assert!(!opts.as_slice().is_empty());
-        opts
-    }
-
-    /// The full XY path from `src` to `dst`, inclusive of both endpoints.
-    pub fn xy_path(self, src: Coord, dst: Coord) -> Vec<Coord> {
-        let mut path = vec![src];
+    /// The route from `src` to `dst`: the directed links a packet crosses,
+    /// in order, taking one [`xy_route`](Self::xy_route) step per hop.
+    /// This is the only definition of a path on the mesh — the router
+    /// takes the same per-hop step, and the latency model, the placement
+    /// cost and the heatmap read this route — so every layer charges the
+    /// same links. `len()` is the hop count, in O(1).
+    pub fn route(self, src: Coord, dst: Coord) -> impl ExactSizeIterator<Item = LinkRef> {
+        debug_assert!(self.contains(src) && self.contains(dst));
+        let hops = usize::from(src.x.abs_diff(dst.x)) + usize::from(src.y.abs_diff(dst.y));
         let mut at = src;
-        while at != dst {
-            let d = self.xy_route(at, dst);
-            at = self.neighbor(at, d).expect("XY route leaves the mesh");
-            path.push(at);
-        }
-        path
+        (0..hops).map(move |_| {
+            let dir = self.xy_route(at, dst);
+            let to = self
+                .neighbor(at, dir)
+                .expect("an XY step stays on the mesh");
+            let link = LinkRef { from: at, to, dir };
+            at = to;
+            link
+        })
     }
 }
 
@@ -315,77 +246,26 @@ mod tests {
     }
 
     #[test]
-    fn xy_path_has_manhattan_hops() {
-        let m = Mesh::new(4, 4);
-        let src = Coord::new(0, 3);
-        let dst = Coord::new(3, 0);
-        let path = m.xy_path(src, dst);
-        assert_eq!(path.len() as u32, src.manhattan(dst) + 1);
-        assert_eq!(path.first(), Some(&src));
-        assert_eq!(path.last(), Some(&dst));
-        // Consecutive nodes are mesh neighbors.
-        for w in path.windows(2) {
-            assert_eq!(w[0].manhattan(w[1]), 1);
-        }
-    }
-
-    #[test]
-    fn route_options_xy_is_singleton_and_matches_xy_route() {
-        let m = Mesh::new(4, 4);
+    fn route_links_join_neighbours_and_end_at_dst() {
+        let m = Mesh::new(4, 3);
         for si in 0..m.len() {
             for di in 0..m.len() {
-                let (s, d) = (m.coord(si), m.coord(di));
-                let opts = m.route_options(s, d, Routing::Xy);
-                assert_eq!(opts, vec![m.xy_route(s, d)]);
-            }
-        }
-    }
-
-    #[test]
-    fn west_first_options_are_minimal_and_legal() {
-        let m = Mesh::new(4, 4);
-        for si in 0..m.len() {
-            for di in 0..m.len() {
-                let (s, d) = (m.coord(si), m.coord(di));
-                for o in m.route_options(s, d, Routing::WestFirst) {
-                    if s == d {
-                        assert_eq!(o, Direction::Local);
-                        continue;
-                    }
-                    // Every option is a minimal step: distance decreases.
-                    let n = m.neighbor(s, o).expect("option stays on mesh");
-                    assert_eq!(n.manhattan(d) + 1, s.manhattan(d));
-                    // West-first invariant: West appears iff dst is west,
-                    // and then it is the only option.
-                    if d.x < s.x {
-                        assert_eq!(
-                            m.route_options(s, d, Routing::WestFirst),
-                            vec![Direction::West]
-                        );
-                    }
+                let (src, dst) = (m.coord(si), m.coord(di));
+                let route = m.route(src, dst);
+                let hops = route.len();
+                let links: Vec<LinkRef> = route.collect();
+                assert_eq!(links.len(), hops, "{src}->{dst}");
+                // Minimal: one hop per unit of distance.
+                let dist = usize::from(src.x.abs_diff(dst.x) + src.y.abs_diff(dst.y));
+                assert_eq!(hops, dist, "{src}->{dst}");
+                let mut at = src;
+                for l in &links {
+                    assert_eq!(l.from, at);
+                    assert_eq!(m.neighbor(l.from, l.dir), Some(l.to));
+                    assert_eq!(l.dir, m.xy_route(l.from, dst));
+                    at = l.to;
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn west_first_is_adaptive_in_the_east_quadrant() {
-        let m = Mesh::new(4, 4);
-        let opts = m.route_options(Coord::new(0, 0), Coord::new(2, 2), Routing::WestFirst);
-        assert_eq!(opts.len(), 2); // East and South both minimal and legal
-    }
-
-    #[test]
-    fn route_choices_agree_with_route_options() {
-        let m = Mesh::new(5, 3);
-        for algo in [Routing::Xy, Routing::WestFirst] {
-            for si in 0..m.len() {
-                for di in 0..m.len() {
-                    let (s, d) = (m.coord(si), m.coord(di));
-                    let fixed = m.route_choices(s, d, algo);
-                    assert_eq!(fixed.as_slice().to_vec(), m.route_options(s, d, algo));
-                    assert_eq!(fixed.first(), m.route_options(s, d, algo)[0]);
-                }
+                assert_eq!(at, dst, "the last link enters dst");
             }
         }
     }

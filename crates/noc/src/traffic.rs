@@ -161,7 +161,6 @@ mod tests {
             clock: Frequency::from_mhz(100),
             flit_payload: 4,
             buffer_flits: 4,
-            routing: crate::topology::Routing::Xy,
         }
     }
 

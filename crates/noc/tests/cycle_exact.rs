@@ -1,6 +1,6 @@
 //! The fast path's contract: not one observable cycle may differ from the
 //! original stepper. Randomized traffic — bursts of sends interleaved with
-//! stepping, both routing algorithms, varied packet sizes including
+//! stepping, varied packet sizes including
 //! zero-byte and multi-flit worms — runs through the reference and the
 //! optimized network, and every per-packet delivery record must match
 //! exactly, including the delivery cycle.
@@ -8,7 +8,7 @@
 use hic_noc::reference::{
     bursty_schedule, drive_schedule, hotspot_schedule, schedule_hybrid, ReferenceNetwork,
 };
-use hic_noc::{DeliveredPacket, HybridNetwork, Mesh, Network, NocConfig, Routing};
+use hic_noc::{DeliveredPacket, HybridNetwork, Mesh, Network, NocConfig};
 use proptest::prelude::*;
 
 fn by_id(log: &[DeliveredPacket]) -> Vec<DeliveredPacket> {
@@ -29,13 +29,9 @@ proptest! {
             (0usize..16, 0usize..16, 0u64..96, 0u64..5),
             1..60,
         ),
-        west_first in any::<bool>(),
     ) {
         let mesh = Mesh::new(4, 4);
-        let cfg = NocConfig {
-            routing: if west_first { Routing::WestFirst } else { Routing::Xy },
-            ..NocConfig::paper_default(mesh)
-        };
+        let cfg = NocConfig::paper_default(mesh);
         let mut fast = Network::new(cfg);
         let mut slow = ReferenceNetwork::new(cfg);
 
@@ -78,15 +74,11 @@ proptest! {
     fn fast_path_matches_reference_under_sustained_load(
         seed in 0u64..1_000,
         offered in prop_oneof![Just(0.05f64), Just(0.3), Just(0.8)],
-        west_first in any::<bool>(),
     ) {
         // Saturating Bernoulli traffic — the regime where the active set
         // covers the whole mesh and backpressure dominates.
         let mesh = Mesh::new(4, 4);
-        let cfg = NocConfig {
-            routing: if west_first { Routing::WestFirst } else { Routing::Xy },
-            ..NocConfig::paper_default(mesh)
-        };
+        let cfg = NocConfig::paper_default(mesh);
         let mut fast = Network::new(cfg);
         let mut slow = ReferenceNetwork::new(cfg);
         hic_noc::reference::drive_uniform(&mut fast, mesh, offered, 16, cfg.flit_payload, 150, seed);
@@ -104,16 +96,12 @@ proptest! {
         seed in 0u64..1_000,
         burst in 1u64..6,
         gap in 50u64..4_000,
-        west_first in any::<bool>(),
     ) {
         // Long quiescent gaps between injection bursts: the regime where
         // the hybrid engine skips instead of stepping. Every skip boundary
         // must land on exactly the cycle a stepping driver would reach.
         let mesh = Mesh::new(4, 4);
-        let cfg = NocConfig {
-            routing: if west_first { Routing::WestFirst } else { Routing::Xy },
-            ..NocConfig::paper_default(mesh)
-        };
+        let cfg = NocConfig::paper_default(mesh);
         let period = burst + gap;
         let cycles = period * 4;
         let schedule = bursty_schedule(mesh, 0.3, 16, cfg.flit_payload, burst, period, cycles, seed);
@@ -146,17 +134,13 @@ proptest! {
         seed in 0u64..1_000,
         bias in prop_oneof![Just(0.3f64), Just(0.7)],
         hotspot in 0usize..16,
-        west_first in any::<bool>(),
     ) {
         // Hotspot congestion piles worms onto one router: FIFOs around it
         // stay full and wormhole locks are held for many cycles, so
         // backpressure dominates while the engine interleaves live steps
         // with skips.
         let mesh = Mesh::new(4, 4);
-        let cfg = NocConfig {
-            routing: if west_first { Routing::WestFirst } else { Routing::Xy },
-            ..NocConfig::paper_default(mesh)
-        };
+        let cfg = NocConfig::paper_default(mesh);
         let schedule = hotspot_schedule(
             mesh, 0.25, 32, cfg.flit_payload, mesh.coord(hotspot), bias, 120, seed,
         );

@@ -65,7 +65,7 @@ fn reference_greedy(
         let mut slots = all_slots.clone();
         slots.shuffle(rng);
         let mut assign: Vec<Coord> = slots[..nodes.len()].to_vec();
-        let mut cost = cost_of(nodes, &assign, traffic);
+        let mut cost = cost_of(mesh, nodes, &assign, traffic);
         let mut improved = true;
         while improved {
             improved = false;
@@ -80,7 +80,7 @@ fn reference_greedy(
                     } else {
                         cand[i] = target;
                     }
-                    let c = cost_of(nodes, &cand, traffic);
+                    let c = cost_of(mesh, nodes, &cand, traffic);
                     if c < cost {
                         cost = c;
                         assign = cand;
@@ -100,11 +100,11 @@ fn reference_greedy(
     best.expect("restarts >= 1").1
 }
 
-fn cost_of(nodes: &[NocNode], assign: &[Coord], traffic: &Traffic) -> u128 {
+fn cost_of(mesh: Mesh, nodes: &[NocNode], assign: &[Coord], traffic: &Traffic) -> u128 {
     let idx: BTreeMap<NocNode, Coord> = nodes.iter().copied().zip(assign.iter().copied()).collect();
     traffic
         .iter()
-        .map(|&(a, b, bytes)| u128::from(bytes) * u128::from(idx[&a].manhattan(idx[&b])))
+        .map(|&(a, b, bytes)| u128::from(bytes) * mesh.route(idx[&a], idx[&b]).len() as u128)
         .sum()
 }
 
@@ -112,7 +112,9 @@ fn cost_of(nodes: &[NocNode], assign: &[Coord], traffic: &Traffic) -> u128 {
 fn wide_cost(p: &Placement, traffic: &Traffic) -> u128 {
     traffic
         .iter()
-        .map(|&(a, b, bytes)| u128::from(bytes) * u128::from(p.coord(a).manhattan(p.coord(b))))
+        .map(|&(a, b, bytes)| {
+            u128::from(bytes) * p.mesh.route(p.coord(a), p.coord(b)).len() as u128
+        })
         .sum()
 }
 

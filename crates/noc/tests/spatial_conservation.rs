@@ -3,11 +3,12 @@
 //! Whatever the traffic pattern and whichever engine runs it, the spatial
 //! matrices must balance: the non-Local entries of the per-link flit
 //! matrix sum to `NetMetrics::forwarded_flits`, the Local column sums to
-//! `ejected_flits`, and the flow map's per-flow byte totals sum to exactly
-//! the bytes handed to `send`. On top of conservation, the matrices, the
-//! closed windows, and the flow map must be *byte-identical* across the
-//! step and hybrid engines — spatial observability is an observation,
-//! never a perturbation.
+//! `ejected_flits`, the flow map's per-flow byte totals sum to exactly
+//! the bytes handed to `send`, and each link carries exactly the flits of
+//! the flows whose `Mesh::route` crosses it. On top of conservation, the
+//! matrices, the closed windows, and the flow map must be *byte-identical*
+//! across the step and hybrid engines — spatial observability is an
+//! observation, never a perturbation.
 
 use hic_noc::reference::{
     bursty_schedule, drive_schedule, hotspot_schedule, schedule_hybrid, uniform_schedule,
@@ -148,6 +149,21 @@ proptest! {
         prop_assert_eq!(flow_bytes, injected_bytes);
         prop_assert_eq!(flow_packets, schedule.len() as u64);
         prop_assert_eq!(flow_delivered, schedule.len() as u64);
+
+        // The fabric and the route charge the same links: after drain,
+        // each link's flit count is the flits of every flow routed over it.
+        let mesh = Mesh::new(MESH, MESH);
+        let mut charged = vec![[0u64; PORTS]; mesh.len()];
+        for &((src, dst), totals) in &baseline.flows {
+            for link in mesh.route(src, dst) {
+                charged[mesh.index(link.from)][link.dir.index()] += totals.flits;
+            }
+        }
+        for (r, (row, want)) in baseline.matrix.iter().zip(&charged).enumerate() {
+            for p in (0..PORTS).filter(|&p| p != local) {
+                prop_assert_eq!(row[p], want[p], "router {} port {}", mesh.coord(r), p);
+            }
+        }
 
         // Byte-identical spatial state across the step and hybrid engines.
         let hybrid = run_hybrid_engine(&schedule, packet_bytes);

@@ -10,12 +10,12 @@ use hic_core::{stable_hash_json, DesignConfig, PlanArtifact, Variant};
 use hic_pipeline::stages;
 
 const GOLDEN: [(&str, &str); 6] = [
-    ("canny", "765ad7de14b7219a31f0438382863011"),
-    ("jpeg", "869ee70c368e3177b0dc52b2d5d72f4d"),
-    ("klt", "c451ca33bc592ffbf6259a3402a96970"),
-    ("fluid", "dc57f556ecfc349332b73be55a554457"),
-    ("gen:k=12,skew=0,seed=1", "643a18a18fc68687b3e08081ba54a69b"),
-    ("gen:k=8,seed=5", "55fc347afc424af676a970dd59810d74"),
+    ("canny", "43573a423284d74e953c227f4bb2de49"),
+    ("jpeg", "df88499a81026d03fff55fc8349ce59b"),
+    ("klt", "f6821f9cc7c5e26c3dd36a9493b62934"),
+    ("fluid", "6c22a9a891c143942f760e6735956229"),
+    ("gen:k=12,skew=0,seed=1", "c35e9a5fd8d38f19963ca80cbb45b397"),
+    ("gen:k=8,seed=5", "d96de868856097a8cf4a607892998bda"),
 ];
 
 #[test]

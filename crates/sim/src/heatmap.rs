@@ -20,7 +20,7 @@
 //! guarantee the underlying matrices carry.
 
 use hic_fabric::KernelId;
-use hic_noc::{Coord, Direction, FlowTotals, Mesh, Network, NocNode, Placement, Routing};
+use hic_noc::{Coord, Direction, FlowTotals, Mesh, Network, NocNode, Placement};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -78,7 +78,7 @@ pub struct FlowHeat {
     pub dst_label: String,
     /// Injection/delivery totals for the flow.
     pub totals: FlowTotals,
-    /// XY hop count between the endpoints.
+    /// Hop count of the route between the endpoints.
     pub hops: u32,
 }
 
@@ -184,26 +184,14 @@ fn permille(num: u64, den: u64) -> u32 {
 ///
 /// Call [`Network::flush_spatial_window`] (or the engine passthrough)
 /// first so the final partial window is included. Flow-to-link
-/// attribution walks each flow's XY path — exact for [XY-routed] meshes
-/// (the only routing co-simulation uses), where every flit of a flow
-/// crosses every link on that path exactly once.
-///
-/// # Panics
-///
-/// If the network routes anything other than XY: an adaptive route
-/// leaves the XY path, and the attribution would name the wrong links.
-///
-/// [XY-routed]: hic_noc::Routing::Xy
+/// attribution walks each flow's [`Mesh::route`] — the same links the
+/// routers forward it over, so every flit of a flow crosses every link
+/// of its route exactly once.
 pub fn assemble(
     net: &Network,
     placement: &Placement,
     names: &BTreeMap<KernelId, String>,
 ) -> HeatmapReport {
-    let routing = net.config().routing;
-    assert!(
-        routing == Routing::Xy,
-        "heatmap flow attribution walks XY paths, but the network routes {routing:?}"
-    );
     let mesh = net.config().mesh;
     let matrix = net.link_flit_matrix();
     let stalls = net.stall_matrix();
@@ -237,18 +225,16 @@ pub fn assemble(
         })
         .collect();
 
-    // Analytic flow->link attribution along each flow's XY path.
+    // Analytic flow->link attribution along each flow's route.
     // flows_on[(router, port)] lists (flow key, bytes) crossing that link.
     type FlowsOnLink = BTreeMap<(usize, usize), Vec<((Coord, Coord), u64)>>;
     let mut flows_on: FlowsOnLink = BTreeMap::new();
     let flow_map = net.flow_totals();
     if let Some(fm) = &flow_map {
         for (&(src, dst), t) in fm {
-            let path = mesh.xy_path(src, dst);
-            for hop in path.windows(2) {
-                let d = mesh.xy_route(hop[0], hop[1]);
+            for link in mesh.route(src, dst) {
                 flows_on
-                    .entry((mesh.index(hop[0]), d.index()))
+                    .entry((mesh.index(link.from), link.dir.index()))
                     .or_default()
                     .push(((src, dst), t.bytes));
             }
@@ -323,7 +309,7 @@ pub fn assemble(
                     src_label: coord_label(src),
                     dst_label: coord_label(dst),
                     totals,
-                    hops: src.manhattan(dst),
+                    hops: mesh.route(src, dst).len() as u32,
                 })
                 .collect()
         })
@@ -694,22 +680,6 @@ mod tests {
         assert!(!top.flows.is_empty());
         assert!(top.verdict.contains("link"));
         assert!(r.verdict.contains("(2,1)"), "verdict: {}", r.verdict);
-    }
-
-    #[test]
-    #[should_panic(expected = "the network routes WestFirst")]
-    fn west_first_networks_are_refused() {
-        // Flow attribution assumes XY paths; a West-first network may
-        // route around them, so assembling its heatmap must fail loudly.
-        let net = Network::new(NocConfig {
-            routing: Routing::WestFirst,
-            ..NocConfig::paper_default(Mesh::new(3, 3))
-        });
-        let placement = Placement {
-            mesh: Mesh::new(3, 3),
-            slots: BTreeMap::new(),
-        };
-        assemble(&net, &placement, &BTreeMap::new());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Characterize the NoC substrate itself: load–latency curves per traffic
-//! pattern and routing algorithm — the classic interconnect evaluation,
-//! applied to the Heisswolf-style router this reproduction implements.
+//! pattern — the classic interconnect evaluation, applied to the
+//! Heisswolf-style XY-routed router this reproduction implements.
 //!
 //! ```text
 //! cargo run --release --example noc_characterization
 //! ```
 
-use hic::noc::{load_sweep, Coord, Mesh, NocConfig, Pattern, Routing};
+use hic::noc::{load_sweep, Coord, Mesh, NocConfig, Pattern};
 
 fn main() {
     let mesh = Mesh::new(4, 4);
+    let cfg = NocConfig::paper_default(mesh);
     let loads = [0.05, 0.10, 0.20, 0.35, 0.50];
     let patterns = [
         ("uniform", Pattern::Uniform),
@@ -19,30 +20,23 @@ fn main() {
         ("neighbor", Pattern::Neighbor),
     ];
 
-    for routing in [Routing::Xy, Routing::WestFirst] {
-        println!("== 4x4 mesh, 32-bit links, {routing:?} routing ==");
-        println!(
-            "{:<14} {:>8} {:>12} {:>10} {:>12}",
-            "pattern", "offered", "mean lat", "p99", "thpt B/cyc"
-        );
-        for (name, pattern) in patterns {
-            let cfg = NocConfig {
-                routing,
-                ..NocConfig::paper_default(mesh)
-            };
-            for p in load_sweep(cfg, pattern, &loads, 16, 300, 1_500, 99) {
-                println!(
-                    "{:<14} {:>8.2} {:>12.1} {:>10} {:>12.1}",
-                    name, p.offered, p.mean_latency, p.p99_latency, p.throughput
-                );
-            }
+    println!("== 4x4 mesh, 32-bit links, XY routing ==");
+    println!(
+        "{:<14} {:>8} {:>12} {:>10} {:>12}",
+        "pattern", "offered", "mean lat", "p99", "thpt B/cyc"
+    );
+    for (name, pattern) in patterns {
+        for p in load_sweep(cfg, pattern, &loads, 16, 300, 1_500, 99) {
+            println!(
+                "{:<14} {:>8.2} {:>12.1} {:>10} {:>12.1}",
+                name, p.offered, p.mean_latency, p.p99_latency, p.throughput
+            );
         }
-        println!();
     }
+    println!();
     println!(
         "Reading: neighbor traffic stays near the no-load latency at every \
          offered load; hotspot saturates first (every packet funnels into \
-         one ejection port); west-first tracks XY at low load and relieves \
-         pressure near saturation where alternative minimal paths exist."
+         one ejection port)."
     );
 }

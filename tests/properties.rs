@@ -190,7 +190,7 @@ proptest! {
         prop_assert_eq!(got, expected_bytes);
         // Latency lower bound: at least hops + 1 cycles each.
         for p in net.delivered() {
-            prop_assert!(p.latency() > p.src.manhattan(p.dst) as u64);
+            prop_assert!(p.latency() > mesh.route(p.src, p.dst).len() as u64);
         }
     }
 
