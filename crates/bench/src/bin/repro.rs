@@ -85,15 +85,9 @@ fn main() {
         matched = true;
         check(args.iter().any(|a| a == "--quick"));
     }
-    // Explicit-only CI smoke: a short 64x64 hybrid-engine run that must
-    // drain with sane stats (scaling proof, not a wall-clock benchmark).
-    if what == "noc-scale" {
-        matched = true;
-        noc_scale();
-    }
     if !matched {
         eprintln!(
-            "unknown experiment '{what}'; expected one of: all fig4 table2 fig5 fig6 table3 fig7 table4 fig8 fig9 ablations bench-noc bench-pipeline bench-serve bench-workload check noc-scale"
+            "unknown experiment '{what}'; expected one of: all fig4 table2 fig5 fig6 table3 fig7 table4 fig8 fig9 ablations bench-noc bench-pipeline bench-serve bench-workload check"
         );
         std::process::exit(2);
     }
@@ -483,56 +477,6 @@ fn bench_noc() {
         "\nwrote BENCH_noc.json + BENCH_noc_metrics.json + BENCH_noc_hybrid.json \
          + BENCH_noc_trace.json + BENCH_noc_sampler.json + BENCH_noc_heatmap.json"
     );
-}
-
-/// `repro noc-scale`: short 64×64 smoke run of the hybrid engine — the
-/// CI job that proves the engine scales to large meshes without claiming
-/// wall-clock numbers. Asserts the run drains, delivers traffic, and
-/// that skip-ahead actually engaged on the idle-heavy schedule.
-fn noc_scale() {
-    use hic_noc::reference::{bursty_schedule, schedule_hybrid};
-    use hic_noc::{HybridNetwork, Mesh, NocConfig, RecordMode};
-    let mesh = Mesh::new(64, 64);
-    let cfg = NocConfig::paper_default(mesh);
-    let schedule = bursty_schedule(mesh, 0.1, 16, cfg.flit_payload, 4, 10_000, 20_000, 0x5CA1E);
-    let mut net = HybridNetwork::new(cfg);
-    net.set_record_mode(RecordMode::Stats);
-    schedule_hybrid(&mut net, &schedule, 16);
-    let t = std::time::Instant::now();
-    net.run_until_drained(10_000_000)
-        .expect("64x64 hybrid run must drain");
-    let secs = t.elapsed().as_secs_f64();
-
-    let skip = net.skip_stats();
-    let m = net.metrics();
-    println!("== noc-scale: 64x64 hybrid smoke ==");
-    println!(
-        "cycles {} (stepped {}, skipped {}), delivered {}, forwarded flits {}, {:.2}s wall \
-         ({:.0} cyc/s)",
-        net.cycle(),
-        skip.stepped_cycles,
-        skip.skipped_cycles,
-        net.stats().delivered(),
-        m.forwarded_flits,
-        secs,
-        net.cycle() as f64 / secs.max(1e-9),
-    );
-    assert!(net.is_drained());
-    assert_eq!(
-        net.stats().delivered() as usize,
-        schedule.len(),
-        "every scheduled packet must be delivered"
-    );
-    assert!(net.stats().delivered() > 0, "schedule produced no traffic");
-    assert!(
-        skip.skipped_cycles > skip.stepped_cycles,
-        "idle-heavy schedule must be dominated by skips"
-    );
-    assert!(
-        m.forwarded_flits > 0 && m.fifo_high_water >= 1,
-        "stats sanity: traffic must have crossed routers"
-    );
-    println!("ok");
 }
 
 fn bench_pipeline() {

@@ -608,7 +608,8 @@ pub struct NocHybridPoint {
     pub speedup: f64,
     /// Cycles the hybrid engine jumped over without stepping.
     pub skipped_cycles: u64,
-    /// Cycles the hybrid engine actually stepped.
+    /// Live cycles the hybrid engine simulated: stepped one at a time or
+    /// applied in bulk after a steady step.
     pub stepped_cycles: u64,
     /// Hard speedup floor `repro check` gates on; `None` = info row.
     pub floor: Option<f64>,
@@ -712,7 +713,7 @@ pub fn measure_hybrid(repeats: u32) -> Vec<NocHybridPoint> {
             end = hy.cycle();
             delivered = hy.stats().delivered();
             skipped = hy.skip_stats().skipped_cycles;
-            stepped = hy.skip_stats().stepped_cycles;
+            stepped = hy.skip_stats().stepped_cycles + hy.skip_stats().bulk_cycles;
 
             // Stepping driver: the same fast-path network, stepped every
             // cycle to the exact span the hybrid covered.

@@ -389,8 +389,11 @@ pub fn collect_samples(quick: bool) -> Samples {
                 .push(p.speedup);
         }
     }
+    // Best of 3 warm runs per sample, the estimator `BENCH_pipeline.json`
+    // was recorded with: the gate asks whether the cache works, and one
+    // warm run against a fast cold path reads the warm run's noise.
     for _ in 0..pipe_runs {
-        let p = crate::pipelineperf::measure(None, 1);
+        let p = crate::pipelineperf::measure(None, 3);
         samples
             .entry("pipeline.speedup".into())
             .or_default()

@@ -37,6 +37,9 @@ fn report_json_covers_every_metric_family() {
 
     // NoC: link traffic and utilization from the co-simulated mesh.
     assert!(counters["noc.flits.forwarded"].as_u64().unwrap() > 0);
+    // jpeg's 64-flit worms stream through established paths, so part of
+    // the co-simulation advances in bulk.
+    assert!(counters["noc.bulk_cycles"].as_u64().unwrap() > 0);
     let gauges = &v["gauges"];
     assert!(gauges.get("noc.link.util_mean_permille").is_some());
     assert!(gauges.get("noc.link.util_max_permille").is_some());

@@ -29,7 +29,7 @@ use crate::source::AppSource;
 use crate::stages;
 use crate::store::{ArtifactStore, CacheStats, StoreConfig};
 use crate::PipelineError;
-use hic_core::{pareto_front, point_of, DesignConfig, DsePoint, InterconnectPlan};
+use hic_core::{pareto_front, point_of, DesignConfig, DsePoint, InterconnectPlan, StableHash};
 use hic_obs::trace::{self, Category};
 use hic_sim::CosimResult;
 use serde::{Deserialize, Serialize};
@@ -109,7 +109,9 @@ pub struct BatchOutcome {
 /// What a finished job hands to its dependents and to assembly.
 #[derive(Debug, Clone)]
 enum JobOutput {
-    Profile(Arc<stages::ProfileArtifact>),
+    /// The profile, plus its spec's `stable_hash_json` when a store will
+    /// key the designs on it (computed once, not once per lattice point).
+    Profile(Arc<stages::ProfileArtifact>, Option<StableHash>),
     Design(Arc<InterconnectPlan>),
     Cosim(Arc<CosimResult>),
 }
@@ -389,14 +391,16 @@ fn execute(
             .expect("dependency finished before dependent was enqueued")
     };
     match kind {
-        JobKind::Profile { app } => {
-            stages::profile(store, read, app).map(|p| JobOutput::Profile(Arc::new(p)))
-        }
+        JobKind::Profile { app } => stages::profile(store, read, app).map(|p| {
+            let spec_hash = store.map(|_| hic_core::stable_hash_json(&p.spec));
+            JobOutput::Profile(Arc::new(p), spec_hash)
+        }),
         JobKind::Design { profile, bits } => {
-            let JobOutput::Profile(p) = input(*profile)? else {
+            let JobOutput::Profile(p, spec_hash) = input(*profile)? else {
                 unreachable!("design depends on a profile")
             };
-            stages::design_point(store, read, &p.spec, cfg, hic_core::knobs_at(*bits))
+            let knobs = hic_core::knobs_at(*bits);
+            stages::design_point_hashed(store, read, &p.spec, spec_hash, cfg, knobs)
                 .map(|plan| JobOutput::Design(Arc::new(plan)))
         }
         JobKind::Cosim { design } => {

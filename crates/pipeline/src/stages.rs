@@ -89,10 +89,21 @@ pub fn design_key(
     knobs: DesignKnobs,
     label: &str,
 ) -> StableHash {
+    design_key_for(stable_hash_json(spec), cfg, knobs, label)
+}
+
+/// [`design_key`] for a spec whose `stable_hash_json` the caller already
+/// holds: a batch hashes each spec once for all its lattice points.
+pub fn design_key_for(
+    spec_hash: StableHash,
+    cfg: &DesignConfig,
+    knobs: DesignKnobs,
+    label: &str,
+) -> StableHash {
     stage_key(
         "design",
         &[
-            stable_hash_json(spec),
+            spec_hash,
             stable_hash_json(cfg),
             stable_hash_json(&knobs),
             stable_hash_json(&label),
@@ -154,9 +165,16 @@ pub fn design_variant(
     variant: Variant,
 ) -> Result<InterconnectPlan, PipelineError> {
     let knobs = variant.knobs();
-    cached_design(store, read_cache, spec, cfg, knobs, variant.name(), || {
-        design(spec, cfg, variant).map_err(PipelineError::from)
-    })
+    cached_design(
+        store,
+        read_cache,
+        spec,
+        None,
+        cfg,
+        knobs,
+        variant.name(),
+        || design(spec, cfg, variant).map_err(PipelineError::from),
+    )
 }
 
 /// Design `spec` for an explicit knob set (a DSE lattice point), through
@@ -170,20 +188,42 @@ pub fn design_point(
     cfg: &DesignConfig,
     knobs: DesignKnobs,
 ) -> Result<InterconnectPlan, PipelineError> {
+    design_point_hashed(store, read_cache, spec, None, cfg, knobs)
+}
+
+/// [`design_point`] given `spec`'s `stable_hash_json` when the caller
+/// already has it (`None` hashes the spec if the store needs a key).
+pub fn design_point_hashed(
+    store: Option<&ArtifactStore>,
+    read_cache: bool,
+    spec: &AppSpec,
+    spec_hash: Option<StableHash>,
+    cfg: &DesignConfig,
+    knobs: DesignKnobs,
+) -> Result<InterconnectPlan, PipelineError> {
     let label = if knobs == DesignKnobs::NONE {
         Variant::Baseline.name()
     } else {
         Variant::Hybrid.name()
     };
-    cached_design(store, read_cache, spec, cfg, knobs, label, || {
-        design_custom(spec, cfg, knobs).map_err(PipelineError::from)
-    })
+    cached_design(
+        store,
+        read_cache,
+        spec,
+        spec_hash,
+        cfg,
+        knobs,
+        label,
+        || design_custom(spec, cfg, knobs).map_err(PipelineError::from),
+    )
 }
 
+#[allow(clippy::too_many_arguments)]
 fn cached_design(
     store: Option<&ArtifactStore>,
     read_cache: bool,
     spec: &AppSpec,
+    spec_hash: Option<StableHash>,
     cfg: &DesignConfig,
     knobs: DesignKnobs,
     label: &str,
@@ -201,7 +241,8 @@ fn cached_design(
     match store {
         None => compute(),
         Some(s) => {
-            let key = design_key(spec, cfg, knobs, label);
+            let spec_hash = spec_hash.unwrap_or_else(|| stable_hash_json(spec));
+            let key = design_key_for(spec_hash, cfg, knobs, label);
             // Plans cache as [`PlanArtifact`] — the store-safe flattening
             // whose JSON round-trips exactly (NoC placement included).
             let artifact: PlanArtifact =
@@ -299,6 +340,24 @@ mod tests {
         assert_ne!(k0, design_key(&spec, &fatter, DesignKnobs::ALL, "hybrid"));
         assert_ne!(k0, design_key(&spec, &cfg, DesignKnobs::NONE, "hybrid"));
         assert_eq!(k0, design_key(&spec, &cfg, DesignKnobs::ALL, "hybrid"));
+    }
+
+    #[test]
+    fn design_key_for_a_prehashed_spec_is_the_same_key() {
+        let spec = crate::stages::profile(None, false, "gen:k=6,seed=3")
+            .unwrap()
+            .spec;
+        let cfg = DesignConfig::default();
+        let hash = stable_hash_json(&spec);
+        for bits in 0u8..16 {
+            let knobs = hic_core::knobs_at(bits);
+            for label in ["hybrid", "baseline"] {
+                assert_eq!(
+                    design_key(&spec, &cfg, knobs, label),
+                    design_key_for(hash, &cfg, knobs, label)
+                );
+            }
+        }
     }
 
     #[test]
