@@ -97,3 +97,35 @@ fn report_table_renders_the_same_families() {
     assert!(out.contains("busiest link: ("), "{out}");
     assert!(out.contains("flits\n"), "{out}");
 }
+
+/// The binary prints the same document: `hic report jpeg --json` exits 0
+/// with a `hic-obs/v1` snapshot that carries every metric family.
+#[test]
+fn report_binary_prints_the_obs_snapshot() {
+    let store = std::env::temp_dir().join(format!("hic-report-bin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hic"))
+        .args(["report", "jpeg", "--json", "--cache-dir"])
+        .arg(&store)
+        .output()
+        .expect("hic runs");
+    let _ = std::fs::remove_dir_all(&store);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v = serde_json::parse(std::str::from_utf8(&out.stdout).expect("UTF-8 stdout"))
+        .expect("stdout parses as JSON");
+    assert_eq!(v["schema"], "hic-obs/v1");
+    let counters = v["counters"].as_map().expect("counters object");
+    assert!(!counters.is_empty(), "empty counters");
+    for key in [
+        "profile.edges",
+        "design.runs",
+        "noc.flits.forwarded",
+        "bus.grants",
+    ] {
+        assert!(v["counters"].get(key).is_some(), "missing {key}");
+    }
+}

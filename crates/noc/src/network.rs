@@ -37,6 +37,12 @@
 //!   it, while all FIFO mutations wait for the apply phase. Decisions are
 //!   collected in a reusable scratch vector of packed one-byte moves;
 //!   nothing is heap-allocated per cycle in the steady state.
+//! - **Packet-granular inject queues.** A source queues each sent message
+//!   as one entry (packet id, destination, flit count, flits left, tail
+//!   payload), and the injection pass makes each flit as it enters the
+//!   Local FIFO, equal field for field to [`Packet::flitize`]'s flit at
+//!   that index. [`Network::send`] is O(1) in time and memory whatever
+//!   the message size; no flit exists before it can enter the network.
 //! - **Slab packet tracking.** [`PacketId`]s are assigned monotonically, so
 //!   in-flight packets live in a sliding slab indexed by `id - base`
 //!   instead of a `HashMap`.
@@ -206,6 +212,93 @@ struct InFlight {
     dst: Coord,
     bytes: u64,
     injected: u64,
+}
+
+/// One packet in a source's inject queue: the flits still to inject are
+/// its last `left`, built one at a time as they enter the Local FIFO (each
+/// equal to the flit at the same index of [`Packet::flitize`]).
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    id: PacketId,
+    dst: Coord,
+    /// Flits in the packet.
+    flits: u32,
+    /// Flits not yet injected (at least 1 while queued).
+    left: u32,
+    /// Payload of the tail flit.
+    tail_payload: u32,
+}
+
+impl Queued {
+    fn new(pkt: &Packet, flit_payload: u32) -> Queued {
+        let flits =
+            u32::try_from(pkt.flit_count(flit_payload)).expect("packet longer than u32::MAX flits");
+        Queued {
+            id: pkt.id,
+            dst: pkt.dst,
+            flits,
+            left: flits,
+            tail_payload: (pkt.bytes - (flits as u64 - 1) * flit_payload as u64) as u32,
+        }
+    }
+
+    /// Flit `i` (0 = head) of the packet.
+    #[inline]
+    fn flit(&self, i: u32, flit_payload: u32) -> Flit {
+        let last = i == self.flits - 1;
+        Flit {
+            packet: self.id,
+            kind: match (i == 0, last) {
+                (true, true) => FlitKind::HeadTail,
+                (true, false) => FlitKind::Head,
+                (false, true) => FlitKind::Tail,
+                (false, false) => FlitKind::Body,
+            },
+            dst: self.dst,
+            payload: if last {
+                self.tail_payload
+            } else {
+                flit_payload
+            },
+        }
+    }
+}
+
+/// Take the next flit off a source's inject queue.
+#[inline]
+fn queue_pop(queue: &mut VecDeque<Queued>, flit_payload: u32) -> Flit {
+    let q = queue.front_mut().expect("pop from an empty inject queue");
+    let flit = q.flit(q.flits - q.left, flit_payload);
+    q.left -= 1;
+    if q.left == 0 {
+        queue.pop_front();
+    }
+    flit
+}
+
+/// The flit `pos` places behind the front of a source's inject queue.
+fn queue_at(queue: &VecDeque<Queued>, mut pos: usize, flit_payload: u32) -> Flit {
+    for q in queue {
+        if pos < q.left as usize {
+            return q.flit(q.flits - q.left + pos as u32, flit_payload);
+        }
+        pos -= q.left as usize;
+    }
+    panic!("inject queue position past its end")
+}
+
+/// Drop the first `k` flits of a source's inject queue.
+fn queue_consume(queue: &mut VecDeque<Queued>, mut k: u64) {
+    while k > 0 {
+        let q = queue.front_mut().expect("consume past the inject queue");
+        if (q.left as u64) <= k {
+            k -= q.left as u64;
+            queue.pop_front();
+        } else {
+            q.left -= k as u32;
+            k = 0;
+        }
+    }
 }
 
 /// How much per-packet delivery information the network retains.
@@ -782,7 +875,9 @@ fn decide_router(
 #[derive(Debug)]
 pub struct Network {
     cfg: NocConfig,
-    inject: Vec<VecDeque<Flit>>,
+    /// Packets waiting at each source, oldest first; the front one may be
+    /// partly injected.
+    inject: Vec<VecDeque<Queued>>,
     inflight: PacketSlab,
     delivered: Vec<DeliveredPacket>,
     record: RecordMode,
@@ -812,7 +907,8 @@ pub struct Network {
     /// corresponding ring in `fifo`. One contiguous array, so space
     /// snapshots and occupancy checks don't chase pointers.
     port_occ: Vec<[u32; PORTS]>,
-    /// Flits awaiting injection per router (mirrors `inject` lengths).
+    /// Flits awaiting injection per router (the sum of `left` over its
+    /// `inject` queue).
     pending: Vec<u32>,
     /// All input-FIFO storage, flat: ring `(router, port)` occupies
     /// `cap` slots starting at `(router * PORTS + port) * cap`. Replaces
@@ -1278,9 +1374,9 @@ impl Network {
         self.record
     }
 
-    /// Hand a message to the source node for injection. The message is
-    /// serialized into flits and trickles into the network as buffer space
-    /// allows.
+    /// Hand a message to the source node for injection as one packet. It
+    /// waits in the source's queue as a single entry, and its flits are
+    /// made one at a time as buffer space lets them into the network.
     pub fn send(&mut self, src: Coord, dst: Coord, bytes: u64) -> PacketId {
         assert!(self.cfg.mesh.contains(src), "src off mesh");
         assert!(self.cfg.mesh.contains(dst), "dst off mesh");
@@ -1293,10 +1389,9 @@ impl Network {
             bytes,
         };
         let node = self.cfg.mesh.index(src);
-        for flit in pkt.flitize(self.cfg.flit_payload) {
-            self.inject[node].push_back(flit);
-            self.pending[node] += 1;
-        }
+        let queued = Queued::new(&pkt, self.cfg.flit_payload);
+        self.inject[node].push_back(queued);
+        self.pending[node] += queued.flits;
         if let Some(sp) = &mut self.spatial {
             if sp.cfg.flows {
                 let key =
@@ -1304,7 +1399,7 @@ impl Network {
                 let f = sp.flows.at(key);
                 f.packets += 1;
                 f.bytes += bytes;
-                f.flits += pkt.flit_count(self.cfg.flit_payload);
+                f.flits += queued.flits as u64;
             }
         }
         self.inflight.insert(
@@ -1391,11 +1486,12 @@ impl Network {
     }
 
     /// Drain pending injections into Local FIFOs (as space allows) for
-    /// every active router. Runs before decide so the space snapshot
-    /// includes this cycle's injections — injection only fills a router's
-    /// own Local FIFO, which no other router's snapshot reads, so a
-    /// separate up-front pass is observationally identical to the old
-    /// fused inject-while-deciding walk.
+    /// every active router, making each flit as it enters. Runs before
+    /// decide so the space snapshot includes this cycle's injections —
+    /// injection only fills a router's own Local FIFO, which no other
+    /// router's snapshot reads, so a separate up-front pass is
+    /// observationally identical to the old fused inject-while-deciding
+    /// walk.
     #[inline]
     fn inject_pending(&mut self) {
         let local = Direction::Local.index();
@@ -1406,7 +1502,7 @@ impl Network {
                 let i = (w << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
                 while self.pending[i] > 0 && self.port_occ[i][local] < cap {
-                    let flit = self.inject[i].pop_front().expect("pending > 0");
+                    let flit = queue_pop(&mut self.inject[i], self.cfg.flit_payload);
                     self.fifo_push(i, local, flit);
                     self.pending[i] -= 1;
                 }
@@ -1716,11 +1812,14 @@ impl Network {
     /// offset `off` sees the conveyor from `off` onwards at its front, one
     /// flit per cycle. A packet's flits are contiguous on it, so only the
     /// head and tail flits ("marks", recorded once per chain) can change a
-    /// FIFO's decision. A FIFO repeats its move while its output stays
-    /// held (Body flits, then the tail, which releases it) and, once a
-    /// tail has released the output, while the next flit is the next
-    /// packet's head, routed to the same output with no rival requester (a
-    /// sole requester is granted without touching the arbiter). With
+    /// FIFO's decision. In the inject queue the marks sit at packet
+    /// boundaries (an unstarted packet's head, each packet's tail), so
+    /// they cost one step per queued packet in reach, not one per flit. A
+    /// FIFO repeats its move while its output stays held (Body flits,
+    /// then the tail, which releases it) and, once a tail has released
+    /// the output, while the next flit is the next packet's head, routed
+    /// to the same output with no rival requester (a sole requester is
+    /// granted without touching the arbiter). With
     /// `strict`, no mark may move. A tail leaving through Local delivers
     /// its packet, and the horizon ends with that cycle.
     fn steady_horizon(&mut self, moves: &[PackedMoves], mut k: u64, strict: bool) -> u64 {
@@ -1766,7 +1865,7 @@ impl Network {
                 let first_mark = ch.marks.len();
                 let fifo_len = off as usize;
                 let queue = &self.inject[src];
-                let avail = fifo_len + queue.len();
+                let avail = fifo_len + self.pending[src] as usize;
                 let src_off = ch.hops[hops.end - 1].off as usize;
                 let mut reach = avail.min(src_off.saturating_add(k as usize));
                 let mut mark = |pos: usize, f: Flit, reach: &mut usize| {
@@ -1783,11 +1882,25 @@ impl Network {
                         mark(h.off as usize + s, self.fifo_at(hr, hp, s), &mut reach);
                     }
                 }
-                for (q, &f) in queue.iter().enumerate() {
-                    if fifo_len + q >= reach {
-                        break;
+                // In the queue the marks sit at packet boundaries: an
+                // unstarted packet's head, and every packet's tail.
+                let fp = self.cfg.flit_payload;
+                let mut pos = fifo_len;
+                for q in queue {
+                    if q.left == q.flits {
+                        if pos >= reach {
+                            break;
+                        }
+                        mark(pos, q.flit(0, fp), &mut reach);
                     }
-                    mark(fifo_len + q, f, &mut reach);
+                    let tail = pos + q.left as usize - 1;
+                    if q.flits > 1 {
+                        if tail >= reach {
+                            break;
+                        }
+                        mark(tail, q.flit(q.flits - 1, fp), &mut reach);
+                    }
+                    pos = tail + 1;
                 }
                 let marks = first_mark..ch.marks.len();
                 for h in &ch.hops[hops.clone()] {
@@ -1862,8 +1975,10 @@ impl Network {
                 self.link_flits[set.router as usize][output] += k;
             }
         }
+        // Deliveries happen only on the last cycle, which `deliver` stamps
+        // `cycle + 1`.
+        self.cycle += k - 1;
         let ch = std::mem::take(&mut self.chains);
-        let mut delivered = Vec::new();
         for span in &ch.spans {
             let chain = &ch.hops[span.hops.clone()];
             let marks = &ch.marks[span.marks.clone()];
@@ -1882,7 +1997,11 @@ impl Network {
                     self.lock_mask[r] &= !(1 << out);
                     if out == local {
                         debug_assert_eq!(pos as u64, h.off as u64 + k - 1);
-                        delivered.push(f.packet);
+                        let fin = self
+                            .inflight
+                            .remove(f.packet)
+                            .expect("tail of unknown packet");
+                        self.deliver(f.packet, fin);
                     }
                 } else {
                     self.locks[r][out] = Some(OutputLock {
@@ -1906,7 +2025,7 @@ impl Network {
                 for s in c.saturating_sub(k as usize)..c {
                     let pos = h.off as usize + k as usize + s;
                     let flit = if pos >= total {
-                        self.inject[src][pos - total]
+                        queue_at(&self.inject[src], pos - total, self.cfg.flit_payload)
                     } else {
                         let up = j + chain[j..].partition_point(|u| u.off as usize <= pos) - 1;
                         let (ur, up_) = (chain[up].router as usize, chain[up].port as usize);
@@ -1916,7 +2035,7 @@ impl Network {
                 }
                 self.fifo_head[rp] = head as u8;
             }
-            self.inject[src].drain(..k as usize);
+            queue_consume(&mut self.inject[src], k);
             self.pending[src] -= k as u32;
             if self.pending[src] == 0 && self.occ_mask[src] == 0 {
                 // A one-flit-buffer source (empty between cycles) that
@@ -1925,13 +2044,6 @@ impl Network {
             }
         }
         self.chains = ch;
-        // Deliveries happen only on the last cycle, which `deliver` stamps
-        // `cycle + 1`.
-        self.cycle += k - 1;
-        for id in delivered {
-            let fin = self.inflight.remove(id).expect("tail of unknown packet");
-            self.deliver(id, fin);
-        }
         self.cycle += 1;
         self.fire_boundaries();
     }
@@ -2117,6 +2229,93 @@ mod tests {
 
     fn net(w: u16, h: u16) -> Network {
         Network::new(NocConfig::paper_default(Mesh::new(w, h)))
+    }
+
+    /// An inject queue hands out, and lets a jump read, exactly the flits
+    /// `Packet::flitize` makes: on every pop, and at every position after
+    /// consuming up to, into and past each packet boundary.
+    #[test]
+    fn queued_flits_match_flitize() {
+        for fp in [4u32, 8, 16] {
+            let p = fp as u64;
+            let pkts: Vec<Packet> = [0, 1, p - 1, p, p + 1, 256, 1 << 20]
+                .iter()
+                .enumerate()
+                .map(|(i, &bytes)| Packet {
+                    id: PacketId(i as u64 + 7),
+                    src: Coord::new(0, 0),
+                    dst: Coord::new(i as u16 % 3, 1),
+                    bytes,
+                })
+                .collect();
+            let expect: Vec<Flit> = pkts.iter().flat_map(|pk| pk.flitize(fp)).collect();
+            let queue: VecDeque<Queued> = pkts.iter().map(|pk| Queued::new(pk, fp)).collect();
+
+            let mut popped = queue.clone();
+            for (i, want) in expect.iter().enumerate() {
+                assert_eq!(
+                    queue_pop(&mut popped, fp),
+                    *want,
+                    "flit payload {fp}, pop {i}"
+                );
+            }
+            assert!(popped.is_empty());
+
+            let total = expect.len() as u64;
+            let mut cuts = vec![0, total / 2];
+            let mut edge = 0;
+            for pk in &pkts {
+                edge += pk.flit_count(fp);
+                cuts.extend([edge - 1, edge, edge + 1]);
+            }
+            cuts.retain(|&c| c <= total);
+            cuts.sort_unstable();
+            cuts.dedup();
+            for cut in cuts {
+                let mut rest = queue.clone();
+                queue_consume(&mut rest, cut);
+                let left: u64 = rest.iter().map(|q| q.left as u64).sum();
+                assert_eq!(left, total - cut);
+                for pos in 0..(total - cut) as usize {
+                    assert_eq!(
+                        queue_at(&rest, pos, fp),
+                        expect[cut as usize + pos],
+                        "flit payload {fp}, consumed {cut}, position {pos}"
+                    );
+                }
+            }
+        }
+
+        // A 1 MiB message waits as one entry, however much of it is in.
+        let mut n = net(2, 2);
+        n.send(Coord::new(0, 0), Coord::new(1, 1), 1 << 20);
+        assert_eq!(n.inject[0].len(), 1);
+        assert_eq!(n.pending[0], 1 << 18);
+        for _ in 0..20 {
+            n.step();
+        }
+        assert_eq!(n.inject[0].len(), 1);
+        assert!(n.pending[0] < 1 << 18);
+    }
+
+    /// A streaming worm is partly injected, so the queue offers a jump
+    /// only its tail as a mark: once its path is open, one jump carries
+    /// it to its delivery. Single-flit packets queued behind it are
+    /// delivered one per jump.
+    #[test]
+    fn queued_worm_streams_in_one_jump() {
+        let mut n = net(4, 4);
+        let (src, dst) = (Coord::new(0, 0), Coord::new(3, 2));
+        n.send(src, dst, 4096); // 1024 flits
+        n.send(src, dst, 0);
+        n.send(src, dst, 3);
+        let mut calls = 0;
+        while !n.is_drained() {
+            n.advance(u64::MAX);
+            calls += 1;
+        }
+        assert_eq!(n.delivered().len(), 3);
+        assert!(calls < 24, "{calls} advance calls for {} cycles", n.cycle());
     }
 
     #[test]

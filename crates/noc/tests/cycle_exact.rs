@@ -313,12 +313,22 @@ fn worm_sends() -> impl Strategy<Value = Vec<(u64, usize, usize, u64)>> {
     )
 }
 
+/// (send index, dst, bytes) single-flit packets to queue behind a worm
+/// send: zero-byte `HeadTail`s and one-flit messages (1–4 bytes).
+fn chaser_sends() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
+    proptest::collection::vec(
+        (0usize..24, 0usize..16, prop_oneof![Just(0u64), 1u64..5]),
+        0..6,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn bulk_advance_matches_stepping_on_long_worms(
         sends in worm_sends(),
+        chasers in chaser_sends(),
         hotspot in 0usize..16,
         buffer_flits in 1usize..6,
         flit_payload in prop_oneof![Just(4u32), Just(4u32), Just(4u32), Just(8u32)],
@@ -336,10 +346,19 @@ proptest! {
             ..NocConfig::paper_default(Mesh::new(4, 4))
         };
         // Destination 16 stands for the hotspot.
-        let sends: Vec<_> = sends
+        let mut sends: Vec<_> = sends
             .iter()
             .map(|&(at, s, d, b)| (at, s, if d == 16 { hotspot } else { d }, b))
             .collect();
+        // Single-flit packets queued behind a worm, then another worm, at
+        // the same source and cycle (the sort in `step_vs_bulk` is stable):
+        // jumps must take marks from one-flit queue entries and from
+        // packets already partly injected.
+        for &(i, d, b) in &chasers {
+            let (at, s, worm_dst, _) = sends[i % sends.len()];
+            let pos = sends.iter().rposition(|x| x.0 == at && x.1 == s).unwrap() + 1;
+            sends.splice(pos..pos, [(at, s, d, b), (at, s, worm_dst, 300)]);
+        }
         let (stepped, bulk, bulk_cycles) = step_vs_bulk(cfg, &sends, window, pulse, runner);
         prop_assert_eq!(stepped.delivered.len(), sends.len());
         prop_assert_eq!(&stepped, &bulk);

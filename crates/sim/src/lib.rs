@@ -8,9 +8,6 @@
 //!   reports.
 //! * [`energy`] — the affine power model and the normalized-energy metric
 //!   of Fig. 9.
-//! * [`reconfig`] — runtime-reconfiguration planning (the paper's stated
-//!   future work): per-app tailored interconnects vs a static union,
-//!   with partial-reconfiguration time/energy amortization.
 //! * [`cosim`] — flit-level co-simulation: kernel traffic runs through the
 //!   real wormhole mesh instead of the closed-form residual, quantifying
 //!   when the paper's Δn full-hiding assumption actually holds.
@@ -23,7 +20,6 @@
 pub mod cosim;
 pub mod energy;
 pub mod heatmap;
-pub mod reconfig;
 pub mod system;
 
 pub use cosim::{cosimulate, cosimulate_with, heatmap_window, set_heatmap_window, CosimResult};
@@ -33,8 +29,4 @@ pub use heatmap::{
     HeatmapReport, LinkHeat, NodeLabel, HEATMAP_SCHEMA, LINK_UTIL_SERIES,
 };
 pub use hic_noc::EngineKind;
-pub use reconfig::{
-    compare as compare_reconfig_strategies, evaluate as evaluate_reconfig, union_interconnect,
-    AppPhase, ReconfigSpec, Strategy, StrategyReport,
-};
 pub use system::{simulate, simulate_runs, simulate_software, KernelTiming, RunResult, RunsResult};

@@ -12,7 +12,7 @@
 //! * [`core`] — the paper's contribution: Algorithm 1, the adaptive mapping
 //!   function and the analytic performance model
 //! * [`sim`] — full-system discrete-event simulator, flit-level
-//!   co-simulation, energy model and reconfiguration planning
+//!   co-simulation and energy model
 //! * [`apps`] — the four experimental applications
 //! * [`pipeline`] — content-addressed artifact store (`hic-store/v1`)
 //!   and the parallel batch compilation service

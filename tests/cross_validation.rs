@@ -1,13 +1,10 @@
 //! Cross-cutting integration: flit-level co-simulation vs the analytic
-//! model on every paper application, multi-frame streaming consistency,
-//! and runtime-reconfiguration planning.
+//! model on every paper application, and multi-frame streaming
+//! consistency.
 
 use hic::apps::calib;
 use hic::core::{design, DesignConfig, Variant};
-use hic::sim::{
-    compare_reconfig_strategies, cosimulate, simulate, simulate_runs, AppPhase, PowerModel,
-    ReconfigSpec,
-};
+use hic::sim::{cosimulate, simulate, simulate_runs, PowerModel};
 
 #[test]
 fn cosim_brackets_analytic_on_every_app() {
@@ -60,24 +57,6 @@ fn streaming_interval_never_exceeds_single_frame_latency() {
         assert_eq!(runs.frame_done.len(), 12);
         assert_eq!(runs.makespan, *runs.frame_done.last().unwrap());
     }
-}
-
-#[test]
-fn reconfig_strategies_are_consistent_with_plan_resources() {
-    let cfg = DesignConfig::default();
-    let power = PowerModel::ml510_default();
-    let rc = ReconfigSpec::ml510_default();
-    let phases: Vec<AppPhase> = calib::all()
-        .into_iter()
-        .map(|app| AppPhase { app, runs: 10 })
-        .collect();
-    let (per_app, union) = compare_reconfig_strategies(&phases, &cfg, &power, &rc).unwrap();
-    assert!(per_app.feasible && union.feasible);
-    // The union strategy's peak cannot be below the per-app strategy's
-    // peak for the same workload (it hosts a superset interconnect).
-    assert!(union.peak_resources.luts >= per_app.peak_resources.luts);
-    // Both strategies performed the same number of switches.
-    assert_eq!(per_app.reconfigurations, union.reconfigurations);
 }
 
 #[test]
