@@ -14,18 +14,13 @@
 //!   transaction scheduling with round-robin arbitration, burst
 //!   segmentation and per-master wait accounting, which the full-system
 //!   simulator uses to capture contention the analytic view ignores.
-//!
-//! [`dma`] adds a descriptor-walking DMA engine and the block-size
-//! trade-off analysis the paper's related work discusses.
 
 #![warn(missing_docs)]
 
 pub mod arbiter;
 pub mod config;
 pub mod cycle;
-pub mod dma;
 
 pub use arbiter::{Arbiter, FixedPriority, RoundRobin};
 pub use config::BusConfig;
 pub use cycle::{BusMetrics, BusTrace, CycleBus, Grant, Request};
-pub use dma::{Descriptor, DmaSpec};

@@ -1,6 +1,6 @@
-//! # hic-mem — on-chip and off-chip memory models
+//! # hic-mem — on-chip memory models
 //!
-//! Two memory substrates of the paper's platform:
+//! The on-chip memory of the paper's platform:
 //!
 //! * [`bram`] — the dual-port block RAMs used as kernel local memories.
 //!   BRAM ports are the scarce resource that shapes the shared-local-memory
@@ -10,9 +10,6 @@
 //!   traffic) a direct connection; and a local memory touched by more agents
 //!   than it has ports needs a multiplexer — exactly the situation of the
 //!   duplicated `huff_ac_dec` kernels in the paper's jpeg system.
-//! * [`sdram`] — the off-chip main memory behind the host, modeled with a
-//!   fixed access latency plus per-byte streaming bandwidth. The bus
-//!   simulator composes this into end-to-end transfer times.
 //! * [`banking`] — BRAM bank planning: how many 36 kbit blocks, in which
 //!   aspect ratio, realize a local memory of a given capacity and port
 //!   width.
@@ -21,8 +18,6 @@
 
 pub mod banking;
 pub mod bram;
-pub mod sdram;
 
 pub use banking::{plan_banks, BankPlan};
 pub use bram::{BramSpec, MemAgent, PortPlan, PortPlanError};
-pub use sdram::SdramSpec;

@@ -25,14 +25,22 @@
 //! Both structures are paged so that no byte costs a hash operation. The
 //! shadow is a table of 4 KiB pages keyed by `addr >> 12`, each holding
 //! one `u32` per address (the last writer's index + 1, 0 = never
-//! written), with a small direct-mapped cache of recently used pages in
-//! front of it. A write fills one slice per page it touches; a read
+//! written), with a 64-entry direct-mapped cache of recently used pages
+//! in front of it. A write fills one slice per page it touches; a read
 //! walks the bytes one page slice at a time and charges each run of
 //! bytes from one writer in bulk, and a read of a page nobody wrote
-//! counts cold reads without allocating it. Each edge keeps its UMA set as a bitset paged the same
-//! way (512 B per 4 KiB of addresses) plus a running count, and the edge
-//! accumulators sit in a `Vec` behind a `(src, dst)` index with a cache
-//! for the last pair.
+//! counts cold reads without allocating it. Each edge keeps its UMA set
+//! as a bitset paged the same way (512 B per 4 KiB of addresses) plus a
+//! running count, and the edge accumulators sit in a `Vec` behind a
+//! `(src, dst)` index with a direct-mapped cache of recent pairs.
+//!
+//! An access inside one page — every element access of the built-in
+//! apps — skips the slicing, and memos make it one compare per
+//! structure: the shadow remembers the last page read and the last page
+//! written, and the edges remember recent `(page, writer, reader)`
+//! charges with the pair's index and the page's UMA words. A read whose
+//! bytes all have one writer is then one memo compare, one byte charge
+//! and one bit-or.
 //!
 //! [`graph::CommGraph`] is the queryable result; it exports Graphviz DOT
 //! (Fig. 5) and collapses to the kernel-level [`hic_fabric::CommEdge`] list

@@ -9,6 +9,14 @@
 //! 4 KiB of addresses) plus a running count, so a UMA insert is one bit
 //! test. Reads walk the shadow one page slice at a time and charge each
 //! run of bytes from one writer in bulk.
+//!
+//! An access inside one page (every element access is one) skips the
+//! slicing and costs one memo compare per structure: the shadow remembers
+//! the last page read and the last page written, and the pairs remember
+//! recent `(page, writer, reader)` charges with their pair index and UMA
+//! page. A uniform read, all of whose bytes have one writer, is then one
+//! compare, one bulk charge and one bit-or. Every memo holds `Vec`
+//! indices, which stay valid as pages are added.
 
 use crate::graph::{CommGraph, GraphEdge};
 use crate::record::{self, Recording, TraceOp};
@@ -22,6 +30,8 @@ const PAGE_BITS: u32 = 12;
 const PAGE: usize = 1 << PAGE_BITS;
 /// `u64` words in one page of UMA bits.
 const PAGE_WORDS: usize = PAGE / 64;
+/// Page number no address has (pages are below `2^52`): an empty memo.
+const NO_PAGE: u64 = u64::MAX;
 
 /// Split the byte range `addr..addr + len` at page boundaries into
 /// `(page, offset, bytes)` slices, in address order.
@@ -39,41 +49,59 @@ fn page_slices(mut addr: u64, mut len: u64) -> impl Iterator<Item = (u64, usize,
     })
 }
 
-/// Pages a [`PageTable`] remembers without hashing, direct-mapped by the
-/// low bits of the page number. A kernel that streams from an input
-/// buffer to an output buffer alternates between two pages; one entry
-/// would re-hash on every access.
-const RECENT: usize = 8;
+/// The range `addr..addr + len` as one `(page, offset, bytes)` slice, if
+/// it is non-empty and lies inside one page.
+fn one_page(addr: u64, len: u64) -> Option<(u64, usize, usize)> {
+    let off = (addr & (PAGE as u64 - 1)) as usize;
+    // `len - 1` wraps for an empty range, which takes the general path.
+    (len.wrapping_sub(1) < (PAGE - off) as u64).then_some((addr >> PAGE_BITS, off, len as usize))
+}
+
+/// Shadow pages the page table remembers without hashing. A kernel
+/// streams between a few buffers, and their pages collide in a small
+/// cache: canny missed an 8-entry one on a quarter of its lookups.
+const SHADOW_RECENT: usize = 64;
+
+/// UMA pages each pair's page table remembers. The charge memo in front
+/// catches most accesses, and every pair holds a table, so it stays small.
+const UMA_RECENT: usize = 8;
 
 /// Sparse page table: page number → dense page index, with a small
-/// direct-mapped cache of recently used pages in front of the map. The
-/// map keeps the default hasher: page numbers come from trace files too.
+/// cache of `RECENT` recently used pages in front of the map,
+/// direct-mapped by the low bits of the page number. The map keeps the
+/// default hasher: page numbers come from trace files too.
 #[derive(Debug)]
-struct PageTable {
+struct PageTable<const RECENT: usize> {
     index: HashMap<u64, usize>,
-    /// `(page, index)` pairs; `u64::MAX` marks an empty slot, as page
-    /// numbers are below `2^52`.
+    /// `(page, index)` pairs; [`NO_PAGE`] marks an empty slot.
     recent: [(u64, usize); RECENT],
 }
 
-impl Default for PageTable {
+impl<const RECENT: usize> Default for PageTable<RECENT> {
     fn default() -> Self {
         PageTable {
             index: HashMap::new(),
-            recent: [(u64::MAX, 0); RECENT],
+            recent: [(NO_PAGE, 0); RECENT],
         }
     }
 }
 
-impl PageTable {
+impl<const RECENT: usize> PageTable<RECENT> {
     /// Dense index of `page`, if it was ever allocated.
     fn find(&mut self, page: u64) -> Option<usize> {
-        let slot = &mut self.recent[page as usize % RECENT];
+        let slot = self.recent[page as usize % RECENT];
         if slot.0 == page {
             return Some(slot.1);
         }
+        self.find_in_map(page)
+    }
+
+    /// [`find`](Self::find) past a cache miss, kept out of line so the
+    /// hit stays small enough to inline.
+    #[inline(never)]
+    fn find_in_map(&mut self, page: u64) -> Option<usize> {
         let i = *self.index.get(&page)?;
-        *slot = (page, i);
+        self.recent[page as usize % RECENT] = (page, i);
         Some(i)
     }
 
@@ -91,53 +119,83 @@ impl PageTable {
 }
 
 /// Last writer of every written address.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shadow {
-    table: PageTable,
+    table: PageTable<SHADOW_RECENT>,
     /// Pages back to back, [`PAGE`] cells each: writer index + 1, or 0.
     cells: Vec<u32>,
+    /// `(page, first cell)` of the last page read and of the last page
+    /// written.
+    last_read: (u64, usize),
+    last_write: (u64, usize),
+}
+
+impl Default for Shadow {
+    fn default() -> Self {
+        Shadow {
+            table: PageTable::default(),
+            cells: Vec::new(),
+            last_read: (NO_PAGE, 0),
+            last_write: (NO_PAGE, 0),
+        }
+    }
 }
 
 impl Shadow {
     /// Offset of `page`'s first cell, if the page was ever written.
     fn find(&mut self, page: u64) -> Option<usize> {
-        self.table.find(page).map(|i| i * PAGE)
+        if self.last_read.0 != page {
+            self.last_read = (page, self.table.find(page)? * PAGE);
+        }
+        Some(self.last_read.1)
     }
 
     /// Offset of `page`'s first cell, allocating a zeroed page if needed.
     fn find_or_alloc(&mut self, page: u64) -> usize {
-        let (i, fresh) = self.table.find_or_insert(page);
-        if fresh {
-            self.cells.resize(self.cells.len() + PAGE, 0);
+        if self.last_write.0 != page {
+            let (i, fresh) = self.table.find_or_insert(page);
+            if fresh {
+                self.cells.resize(self.cells.len() + PAGE, 0);
+            }
+            self.last_write = (page, i * PAGE);
         }
-        i * PAGE
+        self.last_write.1
     }
 }
 
 /// A set of addresses as a paged bitset with a running size.
 #[derive(Debug, Default)]
 struct AddrSet {
-    table: PageTable,
+    table: PageTable<UMA_RECENT>,
     /// Pages back to back, [`PAGE_WORDS`] words each.
     words: Vec<u64>,
     len: u64,
 }
 
 impl AddrSet {
-    /// Insert the `n` addresses from `off` on `page` (`off + n <= PAGE`).
-    fn insert_run(&mut self, page: u64, off: usize, n: usize) {
+    /// Offset of `page`'s first word, allocating an empty page if needed.
+    fn find_or_alloc(&mut self, page: u64) -> usize {
         let (i, fresh) = self.table.find_or_insert(page);
         if fresh {
             self.words.resize(self.words.len() + PAGE_WORDS, 0);
         }
-        let words = &mut self.words[i * PAGE_WORDS..(i + 1) * PAGE_WORDS];
+        i * PAGE_WORDS
+    }
+
+    /// Insert the `n` addresses from `off` on the page whose first word
+    /// is at `base` (`off + n <= PAGE`).
+    fn insert_run(&mut self, base: usize, off: usize, n: usize) {
+        let words = &mut self.words[base..base + PAGE_WORDS];
         let (mut bit, end) = (off, off + n);
         while bit < end {
             let (w, lo) = (bit / 64, bit % 64);
             let hi = (end - w * 64).min(64);
-            let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
-            self.len += u64::from((mask & !words[w]).count_ones());
-            words[w] |= mask;
+            // a re-read finds its bits set and skips the count
+            let fresh = ((u64::MAX >> (64 - (hi - lo))) << lo) & !words[w];
+            if fresh != 0 {
+                self.len += u64::from(fresh.count_ones());
+                words[w] |= fresh;
+            }
             bit = w * 64 + hi;
         }
     }
@@ -152,35 +210,98 @@ struct PairAcc {
     umas: AddrSet,
 }
 
-/// Every pair's accumulator, in first-seen order, with a cache for runs
-/// of bytes from the same writer.
-#[derive(Debug, Default)]
+/// Pair indices [`Pairs`] remembers without hashing, direct-mapped by
+/// `(src, dst)`. A consumer that alternates between two producers (fluid's
+/// `dens_s`/`dens_d`, canny's `dx`/`dy`) keeps both pairs here.
+const PAIR_SLOTS: usize = 16;
+
+/// Charges [`Pairs`] remembers, direct-mapped by `(page, src, dst)`. One
+/// would miss on every access of a loop that reads two streams (jpeg
+/// missed it on 58% of its reads).
+const CHARGE_SLOTS: usize = 8;
+
+/// A recent charge's `(page, src, dst)` with its pair index and the
+/// offset of the page's UMA words.
+#[derive(Debug, Clone, Copy)]
+struct ChargeMemo {
+    key: (u64, u32, u32),
+    pair: usize,
+    words: usize,
+}
+
+/// Every pair's accumulator, in first-seen order, behind a map from
+/// `(src, dst)`, a cache of recent pairs and a memo of recent charges.
+/// The map keeps the default hasher: function ids come from trace files.
+#[derive(Debug)]
 struct Pairs {
     accs: Vec<PairAcc>,
     index: HashMap<(FunctionId, FunctionId), usize>,
-    last: Option<(FunctionId, FunctionId, usize)>,
+    /// `(src, dst, index)`; a `src` of `u32::MAX` marks an empty slot.
+    recent: [(u32, u32, usize); PAIR_SLOTS],
+    charges: [ChargeMemo; CHARGE_SLOTS],
+}
+
+impl Default for Pairs {
+    fn default() -> Self {
+        Pairs {
+            accs: Vec::new(),
+            index: HashMap::new(),
+            recent: [(u32::MAX, 0, 0); PAIR_SLOTS],
+            charges: [ChargeMemo {
+                key: (NO_PAGE, 0, 0),
+                pair: 0,
+                words: 0,
+            }; CHARGE_SLOTS],
+        }
+    }
 }
 
 impl Pairs {
-    fn get(&mut self, src: FunctionId, dst: FunctionId) -> &mut PairAcc {
-        let i = match self.last {
-            Some((s, d, i)) if (s, d) == (src, dst) => i,
-            _ => {
-                let next = self.accs.len();
-                let i = *self.index.entry((src, dst)).or_insert(next);
-                if i == next {
-                    self.accs.push(PairAcc {
-                        src,
-                        dst,
-                        bytes: 0,
-                        umas: AddrSet::default(),
-                    });
-                }
-                self.last = Some((src, dst, i));
-                i
-            }
-        };
-        &mut self.accs[i]
+    /// Index of the `src → dst` accumulator, created if new.
+    fn find_or_insert(&mut self, src: u32, dst: u32) -> usize {
+        let slot = &mut self.recent[(src as usize * 5 + dst as usize) % PAIR_SLOTS];
+        if (slot.0, slot.1) == (src, dst) {
+            return slot.2;
+        }
+        let (s, d) = (FunctionId::new(src), FunctionId::new(dst));
+        let next = self.accs.len();
+        let i = *self.index.entry((s, d)).or_insert(next);
+        if i == next {
+            self.accs.push(PairAcc {
+                src: s,
+                dst: d,
+                bytes: 0,
+                umas: AddrSet::default(),
+            });
+        }
+        *slot = (src, dst, i);
+        i
+    }
+
+    /// Fill charge slot `slot` for `key = (page, src, dst)`, creating the
+    /// pair and its UMA page if new; out of line like
+    /// [`PageTable::find_in_map`].
+    #[inline(never)]
+    fn remember(&mut self, slot: usize, key: (u64, u32, u32)) {
+        let (page, src, dst) = key;
+        let pair = self.find_or_insert(src, dst);
+        let words = self.accs[pair].umas.find_or_alloc(page);
+        self.charges[slot] = ChargeMemo { key, pair, words };
+    }
+
+    /// Charge the `n` bytes from `off` on `page`, last written by `src`,
+    /// to the pair `src → dst` (`off + n <= PAGE`).
+    #[inline(always)]
+    fn charge(&mut self, src: u32, dst: u32, page: u64, off: usize, n: usize) {
+        let key = (page, src, dst);
+        let slot = (page as usize ^ (src as usize * 3) ^ (dst as usize * 5)) % CHARGE_SLOTS;
+        if self.charges[slot].key != key {
+            self.remember(slot, key);
+        }
+        let memo = self.charges[slot];
+        let acc = &mut self.accs[memo.pair];
+        acc.bytes += n as u64;
+        acc.umas.insert_run(memo.words, off, n);
     }
 }
 
@@ -302,10 +423,16 @@ impl Profiler {
         let cur = self.current();
         self.stats[cur.index()].bytes_written += len;
         let cell = cur.0 + 1;
-        for (page, off, n) in page_slices(addr, len) {
-            let base = self.shadow.find_or_alloc(page) + off;
-            self.shadow.cells[base..base + n].fill(cell);
+        match one_page(addr, len) {
+            Some(slice) => self.write_slice(slice, cell),
+            None => page_slices(addr, len).for_each(|slice| self.write_slice(slice, cell)),
         }
+    }
+
+    /// Fill one page slice's shadow cells with `cell`.
+    fn write_slice(&mut self, (page, off, n): (u64, usize, usize), cell: u32) {
+        let base = self.shadow.find_or_alloc(page) + off;
+        self.shadow.cells[base..base + n].fill(cell);
     }
 
     /// Record a read of `len` bytes at virtual address `addr`, attributing
@@ -316,32 +443,38 @@ impl Profiler {
         }
         let cur = self.current();
         self.stats[cur.index()].bytes_read += len;
-        let own = cur.0 + 1;
-        let mut cold = 0u64;
-        for (page, off, n) in page_slices(addr, len) {
-            let Some(base) = self.shadow.find(page) else {
-                cold += n as u64;
-                continue;
-            };
-            let cells = &self.shadow.cells[base + off..base + off + n];
-            let mut i = 0;
-            while i < n {
-                let w = cells[i];
-                let run = cells[i..].iter().position(|&c| c != w).unwrap_or(n - i);
-                match w {
-                    0 => cold += run as u64,
-                    // self-communication is function-local, not an edge
-                    _ if w == own => {}
-                    _ => {
-                        let acc = self.pairs.get(FunctionId::new(w - 1), cur);
-                        acc.bytes += run as u64;
-                        acc.umas.insert_run(page, off + i, run);
-                    }
-                }
-                i += run;
-            }
-        }
+        let cold = match one_page(addr, len) {
+            Some(slice) => self.read_slice(slice, cur.0),
+            None => page_slices(addr, len)
+                .map(|slice| self.read_slice(slice, cur.0))
+                .sum(),
+        };
         self.stats[cur.index()].cold_reads += cold;
+    }
+
+    /// Charge `reader`'s read of one page slice to the bytes' last
+    /// writers, one run of bytes from one writer at a time, and return the
+    /// bytes nobody wrote. A uniform slice is one run.
+    #[inline(always)]
+    fn read_slice(&mut self, (page, off, n): (u64, usize, usize), reader: u32) -> u64 {
+        let Some(base) = self.shadow.find(page) else {
+            return n as u64;
+        };
+        let cells = &self.shadow.cells[base + off..base + off + n];
+        let mut cold = 0;
+        let mut i = 0;
+        while i < n {
+            let w = cells[i];
+            let run = cells[i..].iter().position(|&c| c != w).unwrap_or(n - i);
+            match w {
+                0 => cold += run as u64,
+                // self-communication is function-local, not an edge
+                _ if w == reader + 1 => {}
+                _ => self.pairs.charge(w - 1, reader, page, off + i, run),
+            }
+            i += run;
+        }
+        cold
     }
 
     /// Shadow pages allocated so far.
@@ -532,6 +665,8 @@ mod tests {
         let mut p = Profiler::new();
         let a = p.register("a");
         p.enter(a);
+        p.write(0x3000, 0);
+        p.write(0x3fff, 0);
         p.read(0x10_0000, 3 * PAGE as u64 + 5);
         p.read(u64::MAX - 9000, 9000);
         assert_eq!(p.shadow_pages(), 0);

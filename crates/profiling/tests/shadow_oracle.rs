@@ -8,6 +8,11 @@
 //! addresses up to `u64::MAX - len`, cold reads, self-reads and
 //! overwrites — must leave both with the same graph, the same
 //! per-function counters and the same published metrics.
+//!
+//! A second stream pins the profiler's single-page fast path: element
+//! accesses of 1–8 bytes on three adjacent pages, made in short scopes by
+//! six functions, so that its memos hit, miss, see non-uniform reads and
+//! see overwrites between two reads under one memo key.
 
 use hic_fabric::FunctionId;
 use hic_profiling::graph::{CommGraph, GraphEdge};
@@ -173,6 +178,41 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// First of the three pages [`element_access`] works on.
+const ELEMENT_BASE: u64 = 16 * PAGE;
+
+/// A 1–8-byte access on one of three adjacent pages: at a page start,
+/// ending exactly at a page end, one byte past it, or inside a grid of
+/// 8-byte elements at any byte offset, so that it can partly overwrite an
+/// element.
+fn element_access() -> impl Strategy<Value = (u64, u64)> {
+    (0..3u64, 1..9u64, 0..6u8, 0..12u64, 0..8u64).prop_map(|(p, len, at, k, sub)| {
+        let page = ELEMENT_BASE + p * PAGE;
+        let addr = match at {
+            0 => page,
+            1 => page + PAGE - len,
+            2 => page + PAGE - len + 1,
+            _ => page + 8 * k + sub,
+        };
+        (addr, len)
+    })
+}
+
+/// A short scope: enter one of six functions, access elements, exit.
+fn element_scope() -> impl Strategy<Value = Vec<Op>> {
+    let access = prop_oneof![
+        element_access().prop_map(|(addr, len)| Op::Write { addr, len }),
+        element_access().prop_map(|(addr, len)| Op::Read { addr, len }),
+        element_access().prop_map(|(addr, len)| Op::Read { addr, len }),
+    ];
+    (0..6u32, proptest::collection::vec(access, 1..8)).prop_map(|(f, body)| {
+        let mut ops = vec![Op::Enter(f)];
+        ops.extend(body);
+        ops.push(Op::Exit);
+        ops
+    })
+}
+
 /// Drive both profilers through `ops` over `n` functions. Exits never
 /// pop the outermost scope, so every access has a current function.
 fn run(n: u32, ops: &[Op]) -> (Profiler, Oracle) {
@@ -230,6 +270,23 @@ proptest! {
         p.publish_metrics(&rp, "profile");
         o.publish_metrics(&ro, "profile");
         prop_assert_eq!(rp.snapshot().counters, ro.snapshot().counters);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn element_accesses_match_the_hashed_oracle(
+        scopes in proptest::collection::vec(element_scope(), 1..40),
+    ) {
+        let ops: Vec<Op> = scopes.concat();
+        let (p, o) = run(6, &ops);
+        prop_assert_eq!(p.graph(), o.graph());
+        for f in 0..6 {
+            let f = FunctionId::new(f);
+            prop_assert_eq!(p.fn_stats(f), o.fn_stats(f), "function {}", f);
+        }
     }
 }
 

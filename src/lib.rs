@@ -4,7 +4,7 @@
 //! guided tour; the sub-crates are:
 //!
 //! * [`fabric`] — substrate models (time, resources, kernels, applications)
-//! * [`mem`] — BRAM / SDRAM memory models
+//! * [`mem`] — BRAM memory models
 //! * [`profiling`] — QUAD-like data-communication profiler
 //! * [`bus`] — cycle-level shared system bus
 //! * [`noc`] — flit-level 2D-mesh NoC with weighted-round-robin routers
