@@ -43,7 +43,7 @@ fn bench_fig5(c: &mut Criterion) {
 }
 
 fn bench_fig6(c: &mut Criterion) {
-    println!("{}", exp::fig6());
+    println!("{}", exp::fig6().describe());
     c.bench_function("fig6_jpeg_synthesis", |b| b.iter(|| black_box(exp::fig6())));
 }
 

@@ -168,7 +168,8 @@ fn bench_noc_fastpath(c: &mut Criterion) {
 
     // Simulated cycles/second of the fast path vs. the pre-optimization
     // reference stepper, 8×8 uniform Bernoulli traffic at three loads.
-    // The `repro` binary records the same comparison into BENCH_noc.json.
+    // The `repro` binary records the same comparison as the `noc.speedup@*`
+    // records of BENCH.json.
     const CYCLES: u64 = 2_000;
     let mesh = Mesh::new(8, 8);
     let cfg = NocConfig::paper_default(mesh);

@@ -7,6 +7,11 @@
 //! ```
 
 use hic_bench::experiments as exp;
+use hic_bench::nocperf::{
+    NocHybridPoint, SamplerOverheadPoint, SpatialOverheadPoint, TraceOverheadPoint,
+};
+use hic_bench::regress::{self, BenchRecord};
+use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,11 +35,11 @@ fn main() {
     }
     if all || what == "fig5" {
         matched = true;
-        fig5();
+        fig5(json);
     }
     if all || what == "fig6" {
         matched = true;
-        println!("{}", exp::fig6());
+        fig6(json);
     }
     if all || what == "table3" || what == "fig7" {
         matched = true;
@@ -57,30 +62,32 @@ fn main() {
         ablations(json);
     }
     // Deliberately not part of `all`: it's a wall-clock benchmark, so it
-    // belongs to explicit invocations (`repro -- bench-noc`), which write
-    // the machine-readable record to BENCH_noc.json.
+    // belongs to explicit invocations (`repro -- bench-noc`), which
+    // rewrite the `noc.` records of BENCH.json.
     if what == "bench-noc" {
         matched = true;
         bench_noc();
     }
-    // Same deal: wall-clock, explicit-only, writes BENCH_pipeline.json.
+    // Same deal: wall-clock, explicit-only, rewrites the `pipeline.`
+    // records.
     if what == "bench-pipeline" {
         matched = true;
         bench_pipeline();
     }
-    // Wall-clock daemon load test, explicit-only, writes BENCH_serve.json.
+    // Wall-clock daemon load test, explicit-only, rewrites the `serve.`
+    // records.
     if what == "bench-serve" {
         matched = true;
         bench_serve();
     }
-    // Generated-workload daemon storm, explicit-only, writes
-    // BENCH_workload.json.
+    // Generated-workload daemon storm, explicit-only, rewrites the
+    // `workload.` records.
     if what == "bench-workload" {
         matched = true;
         bench_workload();
     }
     // Also explicit-only: the regression sentinel re-runs the wall-clock
-    // benches and compares against the committed BENCH_*.json baselines.
+    // benches and compares against the committed BENCH.json records.
     if what == "check" {
         matched = true;
         check(args.iter().any(|a| a == "--quick"));
@@ -93,14 +100,14 @@ fn main() {
     }
 }
 
-/// `repro check [--quick]`: median-of-k re-run of the NoC, pipeline and
-/// serve benchmarks, gated against the committed `BENCH_*.json` baselines with
-/// MAD-based noise bands (see `hic_bench::regress`). Exits 1 when any
-/// gating metric regresses, 2 when the baselines are missing/unreadable.
+/// `repro check [--quick]`: median-of-k re-run of the NoC, pipeline,
+/// serve and workload benchmarks, gated against the committed
+/// `BENCH.json` records with MAD-based noise bands (see
+/// `hic_bench::regress`). Exits 1 when any gating metric regresses, 2
+/// when the records are missing/unreadable.
 fn check(quick: bool) {
-    use hic_bench::regress;
-    let baselines = match regress::load_baselines(std::path::Path::new(".")) {
-        Ok(b) => b,
+    let records = match regress::load(Path::new(regress::BENCH_FILE)) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("repro check: {e}");
             eprintln!(
@@ -111,11 +118,12 @@ fn check(quick: bool) {
         }
     };
     println!(
-        "== repro check{}: re-running benches against committed baselines ==",
-        if quick { " (--quick)" } else { "" }
+        "== repro check{}: re-running benches against committed baselines on {} cores ==",
+        if quick { " (--quick)" } else { "" },
+        regress::host_cores()
     );
     let samples = regress::collect_samples(quick);
-    let report = regress::check(&baselines, &samples);
+    let report = regress::check(&records, &samples);
     println!("{}", regress::render(&report));
     if report.regressed {
         std::process::exit(1);
@@ -170,12 +178,33 @@ fn table2(json: bool) {
     println!();
 }
 
-fn fig5() {
-    let (dot, table) = exp::fig5();
+fn fig5(json: bool) {
+    let graph = exp::fig5();
+    if json {
+        println!("{}", serde_json::to_string_pretty(&graph).unwrap());
+        return;
+    }
     println!("== Fig. 5: jpeg data-communication profile (real decoder run) ==");
-    println!("{table}");
+    println!("{}", graph.to_table());
     println!("--- Graphviz DOT ---");
-    println!("{dot}");
+    println!("{}", graph.to_dot("jpeg data communication profile"));
+}
+
+fn fig6(json: bool) {
+    let plan = exp::fig6();
+    if json {
+        println!("{}", serde_json::to_string_pretty(&plan).unwrap());
+        return;
+    }
+    println!("Proposed system for the jpeg decoder (Fig. 6)");
+    println!("{}", plan.describe());
+}
+
+/// Write one bench's records into BENCH.json in place of its old ones.
+fn commit(prefix: &str, records: Vec<BenchRecord>) {
+    let file = Path::new(regress::BENCH_FILE);
+    regress::commit(file, prefix, records).unwrap_or_else(|e| panic!("{e}"));
+    println!("\nwrote the `{prefix}.` records of {}", file.display());
 }
 
 fn table3(json: bool) {
@@ -296,10 +325,6 @@ fn bench_noc() {
             r.speedup
         );
     }
-    let out = serde_json::to_string_pretty(&run.points).unwrap();
-    std::fs::write("BENCH_noc.json", &out).expect("write BENCH_noc.json");
-    let sidecar = serde_json::to_string_pretty(&run.metrics).unwrap();
-    std::fs::write("BENCH_noc_metrics.json", &sidecar).expect("write BENCH_noc_metrics.json");
 
     // Hybrid event-driven engine vs per-cycle stepping on the regimes
     // the engine exists for: idle-heavy bursts must clear ≥5x, and the
@@ -331,8 +356,6 @@ fn bench_noc() {
             );
         }
     }
-    let hybrid_sidecar = serde_json::to_string_pretty(&hybrid).unwrap();
-    std::fs::write("BENCH_noc_hybrid.json", &hybrid_sidecar).expect("write BENCH_noc_hybrid.json");
 
     // Tracing overhead against the baseline just measured: the flight
     // recorder must be cheap enough to leave compiled in (disabled
@@ -380,8 +403,6 @@ fn bench_noc() {
             p.offered
         );
     }
-    let trace_sidecar = serde_json::to_string_pretty(&overhead).unwrap();
-    std::fs::write("BENCH_noc_trace.json", &trace_sidecar).expect("write BENCH_noc_trace.json");
 
     // Continuous-telemetry overhead: the NoC pulse plus a background
     // sampler at 10 Hz and 100 Hz must each stay within 5% of the
@@ -416,9 +437,6 @@ fn bench_noc() {
             );
         }
     }
-    let sampler_sidecar = serde_json::to_string_pretty(&sampler).unwrap();
-    std::fs::write("BENCH_noc_sampler.json", &sampler_sidecar)
-        .expect("write BENCH_noc_sampler.json");
 
     // Spatial-accounting overhead: the heatmap layer must be cheap
     // enough to leave compiled in (attached-but-inert within 2%) and
@@ -470,13 +488,13 @@ fn bench_noc() {
             p.offered
         );
     }
-    let spatial_sidecar = serde_json::to_string_pretty(&spatial).unwrap();
-    std::fs::write("BENCH_noc_heatmap.json", &spatial_sidecar)
-        .expect("write BENCH_noc_heatmap.json");
-    println!(
-        "\nwrote BENCH_noc.json + BENCH_noc_metrics.json + BENCH_noc_hybrid.json \
-         + BENCH_noc_trace.json + BENCH_noc_sampler.json + BENCH_noc_heatmap.json"
-    );
+    // One write, after every bar above has held.
+    let mut records = run.records();
+    records.extend(hybrid.iter().flat_map(NocHybridPoint::records));
+    records.extend(overhead.iter().flat_map(TraceOverheadPoint::records));
+    records.extend(sampler.iter().flat_map(SamplerOverheadPoint::records));
+    records.extend(spatial.iter().flat_map(SpatialOverheadPoint::records));
+    commit("noc", records);
 }
 
 fn bench_pipeline() {
@@ -499,9 +517,7 @@ fn bench_pipeline() {
         "warm batch must be at least 5x faster than cold (got {:.1}x)",
         p.speedup
     );
-    let out = serde_json::to_string_pretty(&p).unwrap();
-    std::fs::write("BENCH_pipeline.json", &out).expect("write BENCH_pipeline.json");
-    println!("\nwrote BENCH_pipeline.json");
+    commit("pipeline", p.records());
 }
 
 fn bench_serve() {
@@ -535,9 +551,7 @@ fn bench_serve() {
          serve most jobs warm (got {:.3})",
         p.hit_rate
     );
-    let out = serde_json::to_string_pretty(&p).unwrap();
-    std::fs::write("BENCH_serve.json", &out).expect("write BENCH_serve.json");
-    println!("\nwrote BENCH_serve.json");
+    commit("serve", p.records());
 }
 
 fn bench_workload() {
@@ -567,9 +581,7 @@ fn bench_workload() {
          serve most generated jobs warm (got {:.3})",
         p.hit_rate
     );
-    let out = serde_json::to_string_pretty(&p).unwrap();
-    std::fs::write("BENCH_workload.json", &out).expect("write BENCH_workload.json");
-    println!("\nwrote BENCH_workload.json");
+    commit("workload", p.records());
 }
 
 fn ablations(json: bool) {

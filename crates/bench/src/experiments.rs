@@ -10,6 +10,7 @@ use hic_apps::calib;
 use hic_core::{design, DesignConfig, InterconnectPlan, Variant};
 use hic_fabric::resource::ComponentKind;
 use hic_fabric::AppSpec;
+use hic_profiling::CommGraph;
 use hic_sim::{simulate, simulate_software, PowerModel};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -99,24 +100,14 @@ pub fn table2() -> Vec<Table2Row> {
 // ----------------------------------------------------------- Fig. 5 / 6
 
 /// Fig. 5: the jpeg communication profile from the *real* instrumented
-/// decoder run. Returns (DOT graph, plain-text table).
-pub fn fig5() -> (String, String) {
-    let run = hic_apps::jpeg::run_profiled(4, 4, 2026);
-    (
-        run.graph.to_dot("jpeg data communication profile"),
-        run.graph.to_table(),
-    )
+/// decoder run.
+pub fn fig5() -> CommGraph {
+    hic_apps::jpeg::run_profiled(4, 4, 2026).graph
 }
 
-/// Fig. 6: the synthesized hybrid system for the jpeg decoder, as a
-/// human-readable report.
-pub fn fig6() -> String {
-    let app = calib::jpeg();
-    let plan = design(&app, &config(), Variant::Hybrid).expect("fits");
-    format!(
-        "Proposed system for the jpeg decoder (Fig. 6)\n{}",
-        plan.describe()
-    )
+/// Fig. 6: the synthesized hybrid system for the jpeg decoder.
+pub fn fig6() -> InterconnectPlan {
+    design(&calib::jpeg(), &config(), Variant::Hybrid).expect("fits")
 }
 
 // ------------------------------------------------------ Table III / Fig 7
@@ -579,7 +570,7 @@ mod tests {
 
     #[test]
     fn fig6_mentions_the_papers_structure() {
-        let report = fig6();
+        let report = fig6().describe();
         assert!(report.contains("huff_ac_dec"));
         assert!(report.contains("shared local memory: dquantz_lum -> j_rev_dct"));
         assert!(report.contains("duplicated: huff_ac_dec"));
@@ -592,7 +583,8 @@ mod tests {
 
     #[test]
     fn fig5_real_profile_has_the_papers_edges() {
-        let (dot, table) = fig5();
+        let graph = fig5();
+        let (dot, table) = (graph.to_dot("jpeg"), graph.to_table());
         for f in ["huff_dc_dec", "huff_ac_dec", "dquantz_lum", "j_rev_dct"] {
             assert!(dot.contains(f));
             assert!(table.contains(f));

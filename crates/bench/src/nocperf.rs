@@ -4,9 +4,13 @@
 //! [`hic_noc::ReferenceNetwork`] (the pre-optimization stepper, kept as the
 //! executable spec) — so the only thing left to measure is speed. This
 //! module times both on identical 8×8 uniform Bernoulli traffic and
-//! reports simulated cycles per wall-clock second; the `repro` binary's
-//! `bench-noc` subcommand records the result as `BENCH_noc.json`.
+//! reports simulated cycles per wall-clock second. The `repro` binary's
+//! `bench-noc` subcommand records the result, and the recorder, sampler,
+//! spatial-accounting and hybrid-engine measurements beside it, as the
+//! `noc.` records of `BENCH.json` (each struct's `records()` spells its
+//! keys, kinds and gate floors).
 
+use crate::regress::{with_records, BenchRecord};
 use hic_noc::reference::{
     bursty_schedule, drive_schedule, schedule_hybrid, uniform_schedule, ReferenceNetwork,
 };
@@ -16,7 +20,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// One measured load point of the fast-vs-reference comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct NocPerfPoint {
     /// Stable gate-key suffix (`noc.speedup@{label}` in `repro check`);
     /// the offered load for uniform points, `"bursty"` for the on/off one.
@@ -76,13 +80,12 @@ fn classic_uniform(points: &[NocPerfPoint]) -> impl Iterator<Item = &NocPerfPoin
 }
 
 /// The fast path's aggregate observability counters at one load point —
-/// the `BENCH_noc_metrics.json` sidecar of `repro bench-noc`.
+/// the `noc.metrics.*` records of `repro bench-noc`.
 #[derive(Debug, Clone, Serialize)]
 pub struct NocMetricsPoint {
-    /// Matching [`NocPerfPoint::label`].
+    /// Matching [`NocPerfPoint::label`] (whose `offered` is this
+    /// point's load).
     pub label: String,
-    /// Offered load in flits/node/cycle (duty-cycle average for bursty).
-    pub offered: f64,
     /// The network's always-on counters after the run.
     pub metrics: NetMetrics,
     /// Mean link utilization in [0, 1].
@@ -91,13 +94,41 @@ pub struct NocMetricsPoint {
     pub max_link_utilization: f64,
 }
 
-/// Result of [`measure`]: timing points plus the metrics sidecar.
+/// Result of [`measure`]: timing points plus network metrics.
 #[derive(Debug, Clone, Serialize)]
 pub struct NocPerfRun {
     /// Timing comparison per load point.
     pub points: Vec<NocPerfPoint>,
     /// Fast-path network metrics per load point.
     pub metrics: Vec<NocMetricsPoint>,
+}
+
+impl NocPerfRun {
+    /// The run's `BENCH.json` rows: the gated speedup of every point,
+    /// then every point's info-only fast-path rate, then the rest as
+    /// `noc.<field>@<label>` records.
+    pub fn records(&self) -> Vec<BenchRecord> {
+        let key = |name: &str, p: &NocPerfPoint| format!("noc.{name}@{}", p.label);
+        // The fast path is ≥2.2x everywhere; losing a third of the
+        // ratio means the fast path itself decayed.
+        let gate = |p| BenchRecord::gate(key("speedup", p), p.speedup, 0.35, Some(1.2));
+        let rate = |p| BenchRecord::info(key("cycles_per_sec", p), p.fast_cycles_per_sec);
+        let mut rows: Vec<_> = self.points.iter().map(gate).collect();
+        rows.extend(self.points.iter().map(rate));
+        for p in &self.points {
+            rows = with_records(
+                rows,
+                "noc",
+                &format!("@{}", p.label),
+                p,
+                &["fast_cycles_per_sec"],
+            );
+        }
+        for m in &self.metrics {
+            rows = with_records(rows, "noc", &format!("@{}", m.label), m, &[]);
+        }
+        rows
+    }
 }
 
 /// Time the fast path and the reference stepper on a `side`×`side` mesh
@@ -175,7 +206,6 @@ pub fn measure(side: u16, cycles: u64, repeats: u32) -> NocPerfRun {
         });
         metrics.push(NocMetricsPoint {
             label: label.to_string(),
-            offered,
             metrics: net_metrics,
             mean_link_utilization: net_metrics.mean_link_utilization(),
             max_link_utilization: net_metrics.max_link_utilization(),
@@ -188,8 +218,8 @@ pub fn measure(side: u16, cycles: u64, repeats: u32) -> NocPerfRun {
 }
 
 /// One load point of the tracing-overhead measurement — the
-/// `BENCH_noc_trace.json` sidecar of `repro bench-noc`.
-#[derive(Debug, Clone, Serialize)]
+/// `noc.trace.*` records of `repro bench-noc`.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TraceOverheadPoint {
     /// Offered load in flits/node/cycle.
     pub offered: f64,
@@ -219,6 +249,20 @@ pub struct TraceOverheadPoint {
     pub sampled_events: usize,
     /// Events the sampled run's ring overwrote (ideally zero).
     pub sampled_dropped: u64,
+}
+
+impl TraceOverheadPoint {
+    /// `noc.trace.<field>@<offered>` records: `repro bench-noc` asserts
+    /// the bars, and `repro check` does not re-run them.
+    pub fn records(&self) -> Vec<BenchRecord> {
+        with_records(
+            Vec::new(),
+            "noc.trace",
+            &format!("@{}", self.offered),
+            self,
+            &[],
+        )
+    }
 }
 
 /// Measure the wall-clock cost of the flight recorder on the same
@@ -323,7 +367,7 @@ fn paired_ratio(rounds: &[(f64, f64)]) -> (f64, f64) {
 }
 
 /// One load point of the continuous-telemetry overhead measurement —
-/// the `BENCH_noc_sampler.json` sidecar of `repro bench-noc`.
+/// the `noc.sampler.*` records of `repro bench-noc`.
 #[derive(Debug, Clone, Serialize)]
 pub struct SamplerOverheadPoint {
     /// Offered load in flits/node/cycle.
@@ -355,6 +399,20 @@ pub struct SamplerOverheadPoint {
     /// Registry samples the 100 Hz run collected (sanity: nonzero when
     /// the run is long enough for at least one tick).
     pub hz100_samples: u64,
+}
+
+impl SamplerOverheadPoint {
+    /// `noc.sampler.<field>@<offered>` records; like the recorder
+    /// overhead, asserted at bench time and not re-run by `repro check`.
+    pub fn records(&self) -> Vec<BenchRecord> {
+        with_records(
+            Vec::new(),
+            "noc.sampler",
+            &format!("@{}", self.offered),
+            self,
+            &[],
+        )
+    }
 }
 
 /// Measure the wall-clock cost of continuous telemetry on the traffic
@@ -461,8 +519,8 @@ pub fn measure_sampler_overhead(
 }
 
 /// One load point of the spatial-accounting overhead measurement — the
-/// `BENCH_noc_heatmap.json` sidecar of `repro bench-noc`.
-#[derive(Debug, Clone, Serialize)]
+/// `noc.spatial*` records of `repro bench-noc`.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SpatialOverheadPoint {
     /// Stable gate-key suffix (`noc.spatial_off@{label}` and
     /// `noc.spatial_windowed@{label}` in `repro check`).
@@ -498,6 +556,30 @@ pub struct SpatialOverheadPoint {
     /// Distinct (src, dst) flows the windowed run attributed
     /// (sanity: nonzero).
     pub windowed_flows: usize,
+}
+
+impl SpatialOverheadPoint {
+    /// The gated `noc.spatial_off@<label>` and
+    /// `noc.spatial_windowed@<label>` ratios, then the rest as
+    /// `noc.spatial.<field>@<label>` records.
+    pub fn records(&self) -> Vec<BenchRecord> {
+        let at = format!("@{}", self.label);
+        let gate = |name: &str, ratio, band, floor| {
+            BenchRecord::gate(format!("noc.spatial_{name}{at}"), ratio, band, Some(floor))
+        };
+        // The bench-time bars (≥0.98x inert, ≥0.90x windowed, minus the
+        // run's own noise band) carry the tight claim with 7 interleaved
+        // repeats; the check-time floors are looser because each fresh
+        // sample there is the median of only a few short paired rounds
+        // — they catch structural regressions (accounting accidentally
+        // always-on, a lock on the step path), not percent-level drift.
+        let gates = vec![
+            gate("off", self.off_ratio, 0.07, 0.90).with_noise(self.off_noise),
+            gate("windowed", self.windowed_ratio, 0.12, 0.75).with_noise(self.windowed_noise),
+        ];
+        let skip = ["off_ratio", "windowed_ratio"];
+        with_records(gates, "noc.spatial", &at, self, &skip)
+    }
 }
 
 /// Measure the wall-clock cost of the spatial accounting layer on the
@@ -587,8 +669,8 @@ pub fn measure_spatial_overhead(
 }
 
 /// One configuration of the hybrid-engine vs per-cycle-stepper
-/// comparison — the `BENCH_noc_hybrid.json` sidecar of `repro bench-noc`.
-#[derive(Debug, Clone, Serialize)]
+/// comparison — the `noc.hybrid*` records of `repro bench-noc`.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct NocHybridPoint {
     /// Stable gate-key suffix (`noc.hybrid_speedup@{label}`).
     pub label: String,
@@ -613,6 +695,24 @@ pub struct NocHybridPoint {
     pub stepped_cycles: u64,
     /// Hard speedup floor `repro check` gates on; `None` = info row.
     pub floor: Option<f64>,
+}
+
+impl NocHybridPoint {
+    /// The `noc.hybrid_speedup@<label>` row — gated when the point has a
+    /// floor, info otherwise — then the rest as
+    /// `noc.hybrid.<field>@<label>` records.
+    pub fn records(&self) -> Vec<BenchRecord> {
+        let at = format!("@{}", self.label);
+        let key = format!("noc.hybrid_speedup{at}");
+        // Skip-ahead ratios swing with how much of the span is idle; the
+        // hard floor carries the real claim (≥5x on the bursty point,
+        // ≥0.7x no-regression on uniform).
+        let row = match self.floor {
+            Some(floor) => BenchRecord::gate(key, self.speedup, 0.5, Some(floor)),
+            None => BenchRecord::info(key, self.speedup),
+        };
+        with_records(vec![row], "noc.hybrid", &at, self, &["speedup", "floor"])
+    }
 }
 
 /// Time the hybrid event-driven engine against a per-cycle stepping

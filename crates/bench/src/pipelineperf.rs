@@ -5,14 +5,15 @@
 //! `hic-store/v1` cache; a warm rerun over the same store must resolve
 //! every stage job from disk — zero recomputation — and finish at least
 //! 5× faster. The `repro` binary's `bench-pipeline` subcommand records
-//! the result as `BENCH_pipeline.json`.
+//! the result as the `pipeline.` records of `BENCH.json`.
 
+use crate::regress::{with_records, BenchRecord};
 use hic_pipeline::{run_batch, BatchOptions, CacheStats, PAPER_APPS};
 use serde::Serialize;
 use std::time::Instant;
 
-/// The warm-vs-cold measurement record (`BENCH_pipeline.json`).
-#[derive(Debug, Clone, Serialize)]
+/// The warm-vs-cold measurement.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PipelinePerf {
     /// Apps compiled, in batch order.
     pub apps: Vec<String>,
@@ -32,6 +33,24 @@ pub struct PipelinePerf {
     pub warm_stats: CacheStats,
     /// Bytes the populated store occupies on disk.
     pub store_bytes: u64,
+}
+
+impl PipelinePerf {
+    /// The gated `pipeline.speedup` and `pipeline.warm_hit_rate`, then
+    /// the rest as `pipeline.<field>` records.
+    pub fn records(&self) -> Vec<BenchRecord> {
+        let warm_hit_rate = self.warm_stats.hits as f64 / self.jobs.max(1) as f64;
+        let gates = vec![
+            // Warm-vs-cold varies with disk cache state; the hard floor
+            // is the same ≥5x bar `repro bench-pipeline` asserts.
+            BenchRecord::gate("pipeline.speedup", self.speedup, 0.75, Some(5.0)),
+            // The speedup divides by a cold time that keeps shrinking;
+            // warm hits per stage job prove the cache works without
+            // eroding: one recomputed job falls below the floor.
+            BenchRecord::gate("pipeline.warm_hit_rate", warm_hit_rate, 0.001, Some(0.999)),
+        ];
+        with_records(gates, "pipeline", "", self, &[])
+    }
 }
 
 /// Run the cold batch then `warm_runs` warm reruns (best warm time wins,
@@ -57,7 +76,6 @@ pub fn measure(jobs: Option<usize>, warm_runs: usize) -> PipelinePerf {
         let t = Instant::now();
         let w = run_batch(&opts).expect("warm batch runs");
         warm_secs = warm_secs.min(t.elapsed().as_secs_f64());
-        assert_eq!(w.stats.misses, 0, "warm run must recompute nothing");
         warm = Some(w);
     }
     let warm = warm.expect("at least one warm run");
@@ -94,7 +112,7 @@ mod tests {
         assert_eq!(p.warm_stats.hits, p.cold_stats.misses);
         assert!(p.store_bytes > 0);
         // The ≥5x acceptance bar is asserted by the recorded benchmark
-        // (BENCH_pipeline.json), not by this smoke test — CI machines
+        // (`repro bench-pipeline`), not by this smoke test — CI machines
         // under load make tight wall-clock asserts flaky. Cheap sanity
         // only: warm must not be slower than cold.
         assert!(

@@ -11,16 +11,16 @@
 //! the cache-key-canonicalization claim the generator makes.
 //!
 //! The `repro` binary's `bench-workload` subcommand writes the result
-//! as `BENCH_workload.json`; `repro check` gates on the structural
-//! columns (completion, hit rate) and prints throughput and the pooled
-//! latency percentiles as info rows.
+//! as the `workload.` records of `BENCH.json`; `repro check` gates on
+//! the structural columns (completion, hit rate) and prints throughput
+//! and the pooled latency percentiles as info rows.
 
-use hic_serve::{Client, Daemon, ServeOptions};
+use crate::regress::{with_records, BenchRecord};
+use crate::serveperf::storm;
 use serde::Serialize;
-use std::time::{Duration, Instant};
 
-/// The generated-workload measurement record (`BENCH_workload.json`).
-#[derive(Debug, Clone, Serialize)]
+/// The generated-workload measurement.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct WorkloadPerf {
     /// Concurrent client connections.
     pub clients: usize,
@@ -57,13 +57,22 @@ pub struct WorkloadPerf {
     pub completion: f64,
 }
 
-/// `sorted` percentile by nearest-rank on a pre-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+impl WorkloadPerf {
+    /// The `workload.*` rows. The gates mirror the serve ones:
+    /// completion is structural (retries absorb admission rejections),
+    /// and the seed pool guarantees a warm store, so only a collapse of
+    /// the hit rate gates.
+    pub fn records(&self) -> Vec<BenchRecord> {
+        let rows = vec![
+            BenchRecord::gate("workload.completion", self.completion, 0.001, Some(0.999)),
+            BenchRecord::gate("workload.hit_rate", self.hit_rate, 0.5, Some(0.25)),
+            BenchRecord::info("workload.jobs_per_sec", self.jobs_per_sec),
+            BenchRecord::info("workload.graphs_per_sec", self.graphs_per_sec),
+            BenchRecord::info("workload.p50_ms", self.p50_ms),
+            BenchRecord::info("workload.p99_ms", self.p99_ms),
+        ];
+        with_records(rows, "workload", "", self, &[])
     }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// The `gen:` source string for seed-pool slot `slot`. Kernel count and
@@ -81,102 +90,41 @@ fn gen_source(slot: usize) -> String {
 /// Run `clients` concurrent clients, each submitting `jobs_per_client`
 /// generated-workload jobs against a fresh in-process daemon.
 pub fn measure(clients: usize, jobs_per_client: usize) -> WorkloadPerf {
-    let root = std::env::temp_dir().join(format!("hic-bench-workload-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-
     // A bounded seed pool, well below the job count, so most jobs
     // revisit a spec another client already computed.
     let total_jobs = clients * jobs_per_client;
     let spec_pool = (total_jobs / 6).clamp(4, 24);
-
-    // Cap well below the herd so `queue full` + retry actually happens.
-    let queue_cap = (clients / 2).clamp(8, 64);
-    let opts = ServeOptions {
-        port: 0,
-        queue_cap,
-        cache_dir: Some(root.clone()),
-        ..ServeOptions::default()
-    };
-    let workers = opts.workers;
-    let daemon = Daemon::start(opts).expect("daemon starts");
-    let port = daemon.port();
-
-    let backoff = Duration::from_millis(2);
-    let poll = Duration::from_millis(1);
-    let t0 = Instant::now();
-    // Each client thread returns (latencies, profile-job count).
-    let results: Vec<(Vec<f64>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|i| {
-                scope.spawn(move || {
-                    let mut c = Client::connect(port).expect("client connects");
-                    let name = format!("gen-load-{i}");
-                    let mut lats = Vec::with_capacity(jobs_per_client);
-                    let mut graphs = 0u64;
-                    for j in 0..jobs_per_client {
-                        let n = i * jobs_per_client + j;
-                        let app = gen_source(n % spec_pool);
-                        // Mostly profile jobs (the graph-producing
-                        // path the generator exists for), with a
-                        // sprinkle of design jobs that reuse the
-                        // cached profile artifact downstream.
-                        let (kind, knobs) = if n % 5 == 4 {
-                            ("design", Some((n % 16) as u8))
-                        } else {
-                            graphs += 1;
-                            ("profile", None)
-                        };
-                        let t = Instant::now();
-                        let job = c
-                            .submit_retrying(kind, &app, knobs, &name, backoff)
-                            .expect("submit")
-                            .expect("accepted after retries");
-                        let state = c.wait_done(job, poll).expect("status");
-                        assert_eq!(state, "done", "job {job} ({kind} {app}) failed");
-                        lats.push(t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    (lats, graphs)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
+    // Mostly profile jobs (the graph-producing path the generator exists
+    // for), with a sprinkle of design jobs that reuse the cached profile
+    // artifact downstream.
+    let is_design = |n: usize| n % 5 == 4;
+    let s = storm(clients, jobs_per_client, |n| {
+        let app = gen_source(n % spec_pool);
+        if is_design(n) {
+            ("design", app, Some((n % 16) as u8))
+        } else {
+            ("profile", app, None)
+        }
     });
-    let wall_secs = t0.elapsed().as_secs_f64();
-
-    let stats = daemon.cache_stats();
-    let summary = daemon.stop();
-    let _ = std::fs::remove_dir_all(&root);
-
-    let mut latencies: Vec<f64> = results
-        .iter()
-        .flat_map(|(l, _)| l.iter().copied())
-        .collect();
-    let graphs: u64 = results.iter().map(|(_, g)| g).sum();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("no NaN latencies"));
-    let lookups = stats.hits + stats.misses;
+    // Every job completed `done` (the storm asserts it), so every
+    // profile job delivered a graph.
+    let graphs = (0..total_jobs).filter(|&n| !is_design(n)).count();
     WorkloadPerf {
         clients,
         jobs_per_client,
         spec_pool,
-        workers,
-        queue_cap,
-        submitted: summary.submitted,
-        completed: summary.completed,
-        failed: summary.failed,
-        wall_secs,
-        jobs_per_sec: summary.completed as f64 / wall_secs.max(1e-9),
-        graphs_per_sec: graphs as f64 / wall_secs.max(1e-9),
-        p50_ms: percentile(&latencies, 0.50),
-        p99_ms: percentile(&latencies, 0.99),
-        hit_rate: if lookups > 0 {
-            stats.hits as f64 / lookups as f64
-        } else {
-            0.0
-        },
-        completion: summary.completed as f64 / (total_jobs as u64).max(1) as f64,
+        workers: s.workers,
+        queue_cap: s.queue_cap,
+        submitted: s.submitted,
+        completed: s.completed,
+        failed: s.failed,
+        wall_secs: s.wall_secs,
+        jobs_per_sec: s.jobs_per_sec,
+        graphs_per_sec: graphs as f64 / s.wall_secs.max(1e-9),
+        p50_ms: s.p50_ms,
+        p99_ms: s.p99_ms,
+        hit_rate: s.hit_rate,
+        completion: s.completion,
     }
 }
 

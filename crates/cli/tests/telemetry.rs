@@ -4,12 +4,14 @@
 //! convention.
 //!
 //! The live-batch test binds port 0 (ephemeral) through the library API
-//! — the CLI itself rejects port 0, which the parse tests pin down.
+//! — the CLI itself rejects port 0, which the parse tests pin down — and
+//! the binary test picks a free port by binding and releasing one.
 
 use hic_cli::{dispatch, parse, CliError, Command};
 use hic_obs::expo::{http_get_local, validate_exposition};
 use hic_obs::timeseries::SeriesStore;
 use hic_obs::{MetricsServer, Sampler};
+use std::process::Stdio;
 use std::time::Duration;
 
 fn argv(s: &str) -> Vec<String> {
@@ -75,6 +77,63 @@ fn metrics_endpoint_serves_valid_exposition_during_a_live_batch() {
     };
     assert_eq!(names(&final_body), names(&again));
     srv.stop();
+}
+
+#[test]
+fn hic_batch_serve_metrics_exposes_valid_exposition() {
+    let cache = std::env::temp_dir().join(format!("hic-metrics-bin-{}", std::process::id()));
+    // The port is free when released, but another process may take it
+    // before `hic` binds: retry a bind failure on a fresh port.
+    for _attempt in 0..5 {
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("ephemeral port")
+            .port();
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_hic"))
+            .args(["batch", "canny", "--serve-metrics", &port.to_string()])
+            .args(["--linger-ms", "1500", "--json", "--cache-dir"])
+            .arg(&cache)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hic runs");
+        // Scrape until the pipeline's metrics show up or `hic` exits.
+        let mut body = None;
+        while child.try_wait().expect("poll hic").is_none() {
+            if let Ok(b) = http_get_local(port, "/metrics") {
+                let done = b.contains("hic_pipeline_");
+                body = Some(b);
+                if done {
+                    break;
+                }
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("hic finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let Some(body) = body else {
+            assert!(stderr.contains("in use"), "hic failed: {stderr}");
+            continue;
+        };
+        let _ = std::fs::remove_dir_all(&cache);
+        assert!(out.status.success(), "{stderr}");
+        validate_exposition(&body).unwrap_or_else(|e| panic!("invalid exposition: {e}"));
+        let names: Vec<&str> = body
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(|l| l.split([' ', '{']).next().unwrap())
+            .collect();
+        assert!(names.contains(&"hic_up"), "{body}");
+        assert!(
+            names.iter().any(|n| n.starts_with("hic_pipeline_")),
+            "{body}"
+        );
+        let doc = serde_json::parse(std::str::from_utf8(&out.stdout).expect("UTF-8 stdout"))
+            .expect("stdout parses as JSON");
+        assert_eq!(doc["schema"], "hic-batch/v1");
+        return;
+    }
+    panic!("no port could be bound in 5 attempts");
 }
 
 #[test]

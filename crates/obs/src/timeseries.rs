@@ -29,7 +29,8 @@
 //! is a registry snapshot (one mutex acquisition plus O(metrics) atomic
 //! loads) and O(metrics) ring pushes — microseconds at the default
 //! 10 Hz, which is why `repro bench-noc` can assert the whole layer
-//! costs ≤ 5% even at 100 Hz (see `BENCH_noc_sampler.json`).
+//! costs ≤ 5% even at 100 Hz (see the `noc.sampler.*` records of
+//! `BENCH.json`).
 
 use crate::registry::Registry;
 use std::collections::BTreeMap;
