@@ -136,35 +136,39 @@ fn bench_design(c: &mut Criterion) {
 }
 
 fn bench_noc_load_sweep(c: &mut Criterion) {
-    use hic_noc::{load_sweep, NocConfig as NC, Pattern};
-    let cfg = NC::paper_default(Mesh::new(4, 4));
+    use hic_noc::{load_point, schedule, Pattern};
+    let cfg = NocConfig::paper_default(Mesh::new(4, 4));
     // Print a small load–latency curve so bench logs double as a NoC
     // characterization record.
-    for p in load_sweep(
-        cfg,
-        Pattern::Uniform,
-        &[0.05, 0.15, 0.30, 0.50],
-        16,
-        300,
-        1_200,
-        11,
-    ) {
+    for (i, offered) in [0.05, 0.15, 0.30, 0.50].into_iter().enumerate() {
+        let s = schedule(
+            cfg,
+            Pattern::Uniform,
+            offered,
+            16,
+            None,
+            1_500,
+            11 ^ i as u64,
+        );
+        let p = load_point(cfg, &s, 16, 300, 1_200);
         println!(
             "[noc-load] offered {:.2} → mean latency {:.1} cyc, p99 {} cyc, thpt {:.1} B/cyc",
-            p.offered, p.mean_latency, p.p99_latency, p.throughput
+            offered, p.mean_latency, p.p99_latency, p.throughput
         );
     }
     let mut g = c.benchmark_group("noc_load");
     g.sample_size(10);
     g.bench_function("uniform_0p3_4x4", |b| {
-        b.iter(|| black_box(load_sweep(cfg, Pattern::Uniform, &[0.3], 16, 100, 400, 12)))
+        b.iter(|| {
+            let s = schedule(cfg, Pattern::Uniform, 0.3, 16, None, 500, 12);
+            black_box(load_point(cfg, &s, 16, 100, 400))
+        })
     });
     g.finish();
 }
 
 fn bench_noc_fastpath(c: &mut Criterion) {
-    use hic_noc::reference::{drive_uniform, ReferenceNetwork};
-    use hic_noc::RecordMode;
+    use hic_noc::{drive_schedule, schedule, Pattern, RecordMode, ReferenceNetwork};
 
     // Simulated cycles/second of the fast path vs. the pre-optimization
     // reference stepper, 8×8 uniform Bernoulli traffic at three loads.
@@ -177,18 +181,19 @@ fn bench_noc_fastpath(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(CYCLES));
     for load in [0.1f64, 0.5, 0.9] {
-        g.bench_with_input(BenchmarkId::new("fast", load), &load, |b, &load| {
+        let schedule = schedule(cfg, Pattern::Uniform, load, 16, None, CYCLES, 99);
+        g.bench_with_input(BenchmarkId::new("fast", load), &load, |b, _| {
             b.iter(|| {
                 let mut net = Network::new(cfg);
                 net.set_record_mode(RecordMode::Stats);
-                drive_uniform(&mut net, mesh, load, 16, cfg.flit_payload, CYCLES, 99);
+                drive_schedule(&mut net, &schedule, 16, CYCLES);
                 black_box(net.stats().delivered())
             })
         });
-        g.bench_with_input(BenchmarkId::new("reference", load), &load, |b, &load| {
+        g.bench_with_input(BenchmarkId::new("reference", load), &load, |b, _| {
             b.iter(|| {
                 let mut net = ReferenceNetwork::new(cfg);
-                drive_uniform(&mut net, mesh, load, 16, cfg.flit_payload, CYCLES, 99);
+                drive_schedule(&mut net, &schedule, 16, CYCLES);
                 black_box(net.delivered().len())
             })
         });

@@ -521,7 +521,13 @@ fn bench_pipeline() {
 }
 
 fn bench_serve() {
-    let p = hic_bench::serveperf::measure_log_overhead(200, 2);
+    use hic_bench::serveperf::{measure, measure_log_ratio, ServePerf};
+    // The ratio comes from the same paired estimator, at the same storm
+    // size and round count, that a full `repro check` gates it with.
+    let p = ServePerf {
+        log_ratio: measure_log_ratio(64, 2, 11),
+        ..measure(200, 2)
+    };
     println!("== hic serve: sustained load over apps x knob lattice ==");
     println!(
         "{} clients x {} jobs on {} workers (queue cap {})",
@@ -536,8 +542,9 @@ fn bench_serve() {
         p.p50_ms, p.p99_ms, p.hit_rate, p.completion
     );
     println!(
-        "with info logging on: {:.1} jobs/s ({:.3}x of logging-disabled)",
-        p.jobs_per_sec_logged, p.log_ratio
+        "with info logging on: {:.3}x the logging-disabled throughput \
+         (median of 11 paired 64x2 storms)",
+        p.log_ratio
     );
     assert_eq!(p.failed, 0, "no job may fail under load");
     assert!(

@@ -11,10 +11,10 @@
 //! keys, kinds and gate floors).
 
 use crate::regress::{with_records, BenchRecord};
-use hic_noc::reference::{
-    bursty_schedule, drive_schedule, schedule_hybrid, uniform_schedule, ReferenceNetwork,
+use hic_noc::{
+    drive_schedule, schedule, schedule_hybrid, Burst, HybridNetwork, Mesh, NetMetrics, Network,
+    NocConfig, Pattern, RecordMode, ReferenceNetwork,
 };
-use hic_noc::{HybridNetwork, Mesh, NetMetrics, Network, NocConfig, RecordMode};
 use hic_obs::trace::{Category, Tracer};
 use serde::Serialize;
 use std::time::Instant;
@@ -41,33 +41,18 @@ pub struct NocPerfPoint {
     pub speedup: f64,
 }
 
-/// One traffic pattern of the [`measure`] sweep.
-enum Load {
-    /// Continuous Bernoulli at this offered load.
-    Uniform(f64),
-    /// On/off bursts: `on` flits/node/cycle for the first `burst` cycles
-    /// of each `period`, silence for the rest.
-    Bursty { on: f64, burst: u64, period: u64 },
-}
-
-/// The sweep points [`measure`] times. The 0.1/0.5/0.9 trio is the
-/// classic load curve; 0.01 and the bursty point are idle-heavy regimes
-/// where the fast path's active-set walk (and, in [`measure_hybrid`],
-/// the hybrid engine's skip-ahead) should dominate.
-fn load_points() -> [(&'static str, Load); 5] {
+/// The sweep points [`measure`] times: label, uniform offered load
+/// (inside the on window, for the bursty point) and burst window. The
+/// 0.1/0.5/0.9 trio is the classic load curve; 0.01 and the bursty point
+/// are idle-heavy regimes where the fast path's active-set walk (and, in
+/// [`measure_hybrid`], the hybrid engine's skip-ahead) should dominate.
+fn load_points() -> [(&'static str, f64, Option<Burst>); 5] {
     [
-        ("0.01", Load::Uniform(0.01)),
-        ("0.1", Load::Uniform(0.1)),
-        ("0.5", Load::Uniform(0.5)),
-        ("0.9", Load::Uniform(0.9)),
-        (
-            "bursty",
-            Load::Bursty {
-                on: 0.5,
-                burst: 4,
-                period: 200,
-            },
-        ),
+        ("0.01", 0.01, None),
+        ("0.1", 0.1, None),
+        ("0.5", 0.5, None),
+        ("0.9", 0.9, None),
+        ("bursty", 0.5, Some(Burst { on: 4, period: 200 })),
     ]
 }
 
@@ -141,34 +126,15 @@ pub fn measure(side: u16, cycles: u64, repeats: u32) -> NocPerfRun {
     let cfg = NocConfig::paper_default(mesh);
     let mut out = Vec::new();
     let mut metrics = Vec::new();
-    for (label, load) in load_points() {
+    for (label, on, burst) in load_points() {
+        let (seed, pattern, offered) = match burst {
+            None => (0xB0C0 ^ (on * 100.0) as u64, "uniform", on),
+            Some(b) => (0xB0C0 ^ 0xB57, "bursty", on * b.on as f64 / b.period as f64),
+        };
         // Traffic is pregenerated so the timed region runs the stepper
         // alone, not the Bernoulli RNG (whose cost is identical for both
         // sides and would dilute the comparison).
-        let (schedule, pattern, offered) = match load {
-            Load::Uniform(offered) => {
-                let seed = 0xB0C0 ^ (offered * 100.0) as u64;
-                (
-                    uniform_schedule(mesh, offered, 16, cfg.flit_payload, cycles, seed),
-                    "uniform",
-                    offered,
-                )
-            }
-            Load::Bursty { on, burst, period } => (
-                bursty_schedule(
-                    mesh,
-                    on,
-                    16,
-                    cfg.flit_payload,
-                    burst,
-                    period,
-                    cycles,
-                    0xB0C0 ^ 0xB57,
-                ),
-                "bursty",
-                on * burst as f64 / period as f64,
-            ),
-        };
+        let schedule = schedule(cfg, Pattern::Uniform, on, 16, burst, cycles, seed);
         let mut fast_best = f64::INFINITY;
         let mut ref_best = f64::INFINITY;
         let mut delivered = 0u64;
@@ -290,7 +256,7 @@ pub fn measure_trace_overhead(
     for base in classic_uniform(baseline) {
         let offered = base.offered;
         let seed = 0xB0C0 ^ (offered * 100.0) as u64;
-        let schedule = uniform_schedule(mesh, offered, 16, cfg.flit_payload, cycles, seed);
+        let schedule = schedule(cfg, Pattern::Uniform, offered, 16, None, cycles, seed);
 
         let mut rounds: Vec<(f64, f64, f64)> = Vec::with_capacity(repeats as usize);
         let mut sampled_events = 0usize;
@@ -442,7 +408,7 @@ pub fn measure_sampler_overhead(
     for base in classic_uniform(baseline) {
         let offered = base.offered;
         let seed = 0xB0C0 ^ (offered * 100.0) as u64;
-        let schedule = uniform_schedule(mesh, offered, 16, cfg.flit_payload, cycles, seed);
+        let schedule = schedule(cfg, Pattern::Uniform, offered, 16, None, cycles, seed);
 
         // One run: optionally attach the pulse, optionally spin a
         // sampler at `interval`. Returns (seconds, sampler ticks).
@@ -610,7 +576,7 @@ pub fn measure_spatial_overhead(
     for base in classic_uniform(baseline) {
         let offered = base.offered;
         let seed = 0xB0C0 ^ (offered * 100.0) as u64;
-        let schedule = uniform_schedule(mesh, offered, 16, cfg.flit_payload, cycles, seed);
+        let schedule = schedule(cfg, Pattern::Uniform, offered, 16, None, cycles, seed);
 
         let mut rounds: Vec<(f64, f64, f64)> = Vec::with_capacity(repeats as usize);
         let mut windowed_windows = 0usize;
@@ -736,7 +702,8 @@ pub fn measure_hybrid(repeats: u32) -> Vec<NocHybridPoint> {
     struct Spec {
         label: &'static str,
         side: u16,
-        load: Load,
+        offered: f64,
+        burst: Option<Burst>,
         horizon: u64,
         floor: Option<f64>,
     }
@@ -744,29 +711,30 @@ pub fn measure_hybrid(repeats: u32) -> Vec<NocHybridPoint> {
         Spec {
             label: "bursty-32",
             side: 32,
-            load: Load::Bursty {
-                on: 0.1,
-                burst: 4,
+            offered: 0.1,
+            burst: Some(Burst {
+                on: 4,
                 period: 100_000,
-            },
+            }),
             horizon: 400_000,
             floor: Some(5.0),
         },
         Spec {
             label: "uniform-32",
             side: 32,
-            load: Load::Uniform(0.1),
+            offered: 0.1,
+            burst: None,
             horizon: 2_000,
             floor: Some(0.7),
         },
         Spec {
             label: "bursty-64",
             side: 64,
-            load: Load::Bursty {
-                on: 0.1,
-                burst: 4,
+            offered: 0.1,
+            burst: Some(Burst {
+                on: 4,
                 period: 50_000,
-            },
+            }),
             horizon: 200_000,
             floor: None,
         },
@@ -776,24 +744,19 @@ pub fn measure_hybrid(repeats: u32) -> Vec<NocHybridPoint> {
     for spec in specs {
         let mesh = Mesh::new(spec.side, spec.side);
         let cfg = NocConfig::paper_default(mesh);
-        let (schedule, pattern) = match spec.load {
-            Load::Uniform(offered) => (
-                uniform_schedule(mesh, offered, 16, cfg.flit_payload, spec.horizon, 0x47B1),
-                "uniform",
-            ),
-            Load::Bursty { on, burst, period } => (
-                bursty_schedule(
-                    mesh,
-                    on,
-                    16,
-                    cfg.flit_payload,
-                    burst,
-                    period,
-                    spec.horizon,
-                    0x47B1,
-                ),
-                "bursty",
-            ),
+        let schedule = schedule(
+            cfg,
+            Pattern::Uniform,
+            spec.offered,
+            16,
+            spec.burst,
+            spec.horizon,
+            0x47B1,
+        );
+        let pattern = if spec.burst.is_some() {
+            "bursty"
+        } else {
+            "uniform"
         };
 
         let mut hybrid_best = f64::INFINITY;

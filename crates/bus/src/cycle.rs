@@ -68,14 +68,6 @@ impl BusTrace {
         self.grants.iter().map(|g| g.wait).sum()
     }
 
-    /// Completion time of a specific request, if it was served.
-    pub fn completion_of(&self, request: usize) -> Option<Time> {
-        self.grants
-            .iter()
-            .find(|g| g.request == request)
-            .map(|g| g.end)
-    }
-
     /// Bus utilization in [0, 1].
     pub fn utilization(&self) -> f64 {
         if self.makespan == Time::ZERO {
@@ -139,16 +131,6 @@ impl CycleBus<RoundRobin> {
 }
 
 impl<A: Arbiter> CycleBus<A> {
-    /// A bus with a custom arbitration policy.
-    pub fn with_arbiter(cfg: BusConfig, arbiter: A) -> Self {
-        CycleBus {
-            cfg,
-            arbiter,
-            metrics: BusMetrics::default(),
-            trace: auto_trace(),
-        }
-    }
-
     /// Route this bus's grant/contention events to `tracer` (for tests
     /// and tools that keep a private tracer instead of the global one).
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
@@ -347,15 +329,6 @@ mod tests {
         ]);
         let served: Vec<u64> = tr.grants.iter().map(|g| g.bytes).collect();
         assert_eq!(served, vec![8, 16, 24]);
-    }
-
-    #[test]
-    fn completion_of_finds_request() {
-        let mut b = bus();
-        let tr = b.run(&[Request::at_start(0, 128), Request::at_start(1, 128)]);
-        assert_eq!(tr.completion_of(0), Some(Time::from_ns(200)));
-        assert_eq!(tr.completion_of(1), Some(Time::from_ns(400)));
-        assert_eq!(tr.completion_of(2), None);
     }
 
     #[test]

@@ -2,13 +2,10 @@
 //! Chrome trace-event JSON document that any viewer can load — every
 //! event carries the required keys, and all three instrumented
 //! subsystems (NoC packet flows, bus arbitration windows, batch job
-//! spans) are present.
-//!
-//! This file deliberately holds a single test: tracing runs through the
-//! process-global tracer, and a second concurrent trace in the same
-//! binary would interleave events.
+//! spans) are present. The test drives the built binary, so argv parsing
+//! and the exit status are covered too.
 
-use hic_cli::{run, CacheOpts, Command, TraceMode};
+use std::process::Command;
 
 #[test]
 fn trace_canny_emits_valid_chrome_json_with_all_subsystems() {
@@ -17,17 +14,20 @@ fn trace_canny_emits_valid_chrome_json_with_all_subsystems() {
     std::fs::create_dir_all(&dir).unwrap();
     let out_path = dir.join("trace.json");
 
-    let summary = run(Command::Trace {
-        app: "canny".into(),
-        mode: TraceMode::All,
-        sample: 1,
-        out: out_path.to_string_lossy().into_owned(),
-        cache: CacheOpts {
-            dir: Some(dir.join("cache").to_string_lossy().into_owned()),
-            read: true,
-        },
-    })
-    .expect("trace runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_hic"))
+        .args(["trace", "canny", "-o"])
+        .arg(&out_path)
+        .arg("--cache-dir")
+        .arg(dir.join("cache"))
+        .output()
+        .expect("hic runs");
+    assert!(
+        out.status.success(),
+        "hic trace failed ({}):\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let summary = String::from_utf8_lossy(&out.stdout);
     assert!(
         summary.contains("wrote"),
         "summary reports the file:\n{summary}"

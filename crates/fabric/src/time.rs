@@ -54,21 +54,6 @@ impl Time {
         self.0
     }
 
-    /// Time in nanoseconds (may lose sub-ns precision).
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// Time in microseconds as a float (for reporting).
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    /// Time in milliseconds as a float (for reporting).
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Time in seconds as a float (for energy computation).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12

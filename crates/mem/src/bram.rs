@@ -11,40 +11,8 @@
 //! multiplexers are needed?
 
 use hic_fabric::resource::{ComponentKind, Resources};
-use hic_fabric::MemoryId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Static description of one BRAM-backed local memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BramSpec {
-    /// Identifier of this memory.
-    pub id: MemoryId,
-    /// Capacity in bytes.
-    pub bytes: u64,
-    /// Number of native ports (2 for Virtex-era BRAM).
-    pub ports: u32,
-    /// Width of one port in bytes (how many bytes one access moves).
-    pub port_width: u32,
-}
-
-impl BramSpec {
-    /// A Virtex-style dual-port BRAM with 32-bit ports.
-    pub fn dual_port(id: impl Into<MemoryId>, bytes: u64) -> Self {
-        BramSpec {
-            id: id.into(),
-            bytes,
-            ports: 2,
-            port_width: 4,
-        }
-    }
-
-    /// Cycles needed to move `bytes` through a single port at one access
-    /// per cycle.
-    pub fn access_cycles(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.port_width as u64)
-    }
-}
 
 /// An agent that needs access to a local memory.
 ///
@@ -152,15 +120,6 @@ impl PortPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dual_port_defaults() {
-        let b = BramSpec::dual_port(0u32, 8192);
-        assert_eq!(b.ports, 2);
-        assert_eq!(b.access_cycles(8192), 2048);
-        assert_eq!(b.access_cycles(1), 1);
-        assert_eq!(b.access_cycles(0), 0);
-    }
 
     #[test]
     fn two_agents_fit_dual_port() {

@@ -10,14 +10,9 @@
 //!   traffic) a direct connection; and a local memory touched by more agents
 //!   than it has ports needs a multiplexer — exactly the situation of the
 //!   duplicated `huff_ac_dec` kernels in the paper's jpeg system.
-//! * [`banking`] — BRAM bank planning: how many 36 kbit blocks, in which
-//!   aspect ratio, realize a local memory of a given capacity and port
-//!   width.
 
 #![warn(missing_docs)]
 
-pub mod banking;
 pub mod bram;
 
-pub use banking::{plan_banks, BankPlan};
-pub use bram::{BramSpec, MemAgent, PortPlan, PortPlanError};
+pub use bram::{MemAgent, PortPlan, PortPlanError};

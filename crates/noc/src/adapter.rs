@@ -6,8 +6,6 @@
 //! with different costs (Table II): the kernel adapter (396/426) and the
 //! much smaller local-memory adapter (60/114).
 
-use crate::flit::Packet;
-use crate::topology::Coord;
 use hic_fabric::resource::{ComponentKind, Resources};
 use serde::{Deserialize, Serialize};
 
@@ -66,20 +64,6 @@ impl AdapterSpec {
         }
         out
     }
-
-    /// Build the packets for a message from `src` to `dst`. Packet ids are
-    /// assigned later by the network; the returned packets carry id 0.
-    pub fn packetize(&self, src: Coord, dst: Coord, bytes: u64) -> Vec<Packet> {
-        self.segment(bytes)
-            .into_iter()
-            .map(|b| Packet {
-                id: crate::flit::PacketId(0),
-                src,
-                dst,
-                bytes: b,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -105,14 +89,5 @@ mod tests {
     fn adapter_costs_match_table2() {
         assert_eq!(AdapterKind::Kernel.cost(), Resources::new(396, 426));
         assert_eq!(AdapterKind::LocalMemory.cost(), Resources::new(60, 114));
-    }
-
-    #[test]
-    fn packetize_sets_endpoints() {
-        let a = AdapterSpec::paper_default(AdapterKind::LocalMemory);
-        let pkts = a.packetize(Coord::new(0, 0), Coord::new(1, 1), 600);
-        assert_eq!(pkts.len(), 3);
-        assert!(pkts.iter().all(|p| p.dst == Coord::new(1, 1)));
-        assert_eq!(pkts[2].bytes, 88);
     }
 }

@@ -10,10 +10,9 @@
 
 use crate::network::NocConfig;
 use crate::topology::Coord;
-use hic_fabric::time::Time;
 use serde::{Deserialize, Serialize};
 
-/// Analytic latency/bandwidth calculator for one NoC configuration.
+/// Analytic latency calculator for one NoC configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyModel {
     cfg: NocConfig,
@@ -36,19 +35,6 @@ impl LatencyModel {
         hops + 1 + (self.flits(bytes) - 1)
     }
 
-    /// No-load delivery latency as wall time.
-    pub fn packet_time(&self, src: Coord, dst: Coord, bytes: u64) -> Time {
-        self.cfg.clock.cycles(self.packet_cycles(src, dst, bytes))
-    }
-
-    /// Cycles for a long message streamed as back-to-back packets: the
-    /// pipeline is limited by serialization, so the message takes about
-    /// `flits + hops` cycles total.
-    pub fn stream_cycles(&self, src: Coord, dst: Coord, bytes: u64) -> u64 {
-        let hops = self.cfg.mesh.route(src, dst).len() as u64;
-        self.flits(bytes) + hops + 1
-    }
-
     /// The *pipeline residual* of a kernel→kernel transfer: with the custom
     /// interconnect, a producer streams output while computing, so the
     /// consumer waits only for the tail of the last packet after the
@@ -57,11 +43,6 @@ impl LatencyModel {
         // One maximal packet's worth of serialization plus the route.
         let hops = self.cfg.mesh.route(src, dst).len() as u64;
         hops + 1
-    }
-
-    /// Peak payload bandwidth of one link in bytes/cycle.
-    pub fn link_bandwidth(&self) -> f64 {
-        self.cfg.flit_payload as f64
     }
 }
 
@@ -106,14 +87,6 @@ mod tests {
         assert_eq!(m.flits(1), 1);
         assert_eq!(m.flits(4), 1);
         assert_eq!(m.flits(5), 2);
-    }
-
-    #[test]
-    fn stream_cycles_dominated_by_serialization() {
-        let (m, _) = model_and_net(4, 4);
-        let c = m.stream_cycles(Coord::new(0, 0), Coord::new(3, 0), 4000);
-        // 1000 flits + 3 hops + 1.
-        assert_eq!(c, 1004);
     }
 
     #[test]

@@ -25,8 +25,11 @@
 //!   paper-scale instances, greedy descent beyond).
 //! * [`latency`] — the closed-form no-load latency model used by the
 //!   full-system simulator, validated against the flit simulator.
-//! * [`traffic`] — synthetic traffic patterns (uniform, transpose,
-//!   complement, hotspot, neighbor) and offered-load/latency sweeps.
+//! * [`traffic`] — the one synthetic traffic generator: Bernoulli
+//!   injection under a uniform, transpose, complement, hotspot or
+//!   neighbor pattern with an optional on/off burst window, the functions
+//!   that play a schedule into any stepper or the hybrid engine, and the
+//!   load–latency point.
 
 #![warn(missing_docs)]
 
@@ -55,4 +58,6 @@ pub use placement::{
 pub use reference::ReferenceNetwork;
 pub use router::{Router, WrrArbiter, PORTS};
 pub use topology::{Coord, Direction, LinkRef, Mesh};
-pub use traffic::{load_sweep, LoadPoint, Pattern};
+pub use traffic::{
+    drive_schedule, load_point, schedule, schedule_hybrid, Burst, LoadPoint, Pattern, Stepper,
+};

@@ -1058,11 +1058,6 @@ impl Network {
         }));
     }
 
-    /// Whether spatial accounting is attached.
-    pub fn spatial_enabled(&self) -> bool {
-        self.spatial.is_some()
-    }
-
     /// The cumulative flits-moved matrix per (router, output port). The
     /// Local column counts ejections; the other columns count link
     /// traversals. Always maintained (this is the always-on counter
@@ -1367,11 +1362,6 @@ impl Network {
     /// mid-run does not clear what the previous mode already logged.
     pub fn set_record_mode(&mut self, mode: RecordMode) {
         self.record = mode;
-    }
-
-    /// The current record mode.
-    pub fn record_mode(&self) -> RecordMode {
-        self.record
     }
 
     /// Hand a message to the source node for injection as one packet. It

@@ -5,10 +5,10 @@
 //! optimized network, and every per-packet delivery record must match
 //! exactly, including the delivery cycle.
 
-use hic_noc::reference::{
-    bursty_schedule, drive_schedule, hotspot_schedule, schedule_hybrid, ReferenceNetwork,
+use hic_noc::{
+    drive_schedule, schedule, schedule_hybrid, Burst, DeliveredPacket, HybridNetwork, Mesh,
+    Network, NocConfig, Pattern, ReferenceNetwork, SpatialConfig,
 };
-use hic_noc::{DeliveredPacket, HybridNetwork, Mesh, Network, NocConfig, SpatialConfig};
 use proptest::prelude::*;
 
 fn by_id(log: &[DeliveredPacket]) -> Vec<DeliveredPacket> {
@@ -81,8 +81,9 @@ proptest! {
         let cfg = NocConfig::paper_default(mesh);
         let mut fast = Network::new(cfg);
         let mut slow = ReferenceNetwork::new(cfg);
-        hic_noc::reference::drive_uniform(&mut fast, mesh, offered, 16, cfg.flit_payload, 150, seed);
-        hic_noc::reference::drive_uniform(&mut slow, mesh, offered, 16, cfg.flit_payload, 150, seed);
+        let schedule = schedule(cfg, Pattern::Uniform, offered, 16, None, 150, seed);
+        drive_schedule(&mut fast, &schedule, 16, 150);
+        drive_schedule(&mut slow, &schedule, 16, 150);
         fast.run_until_drained(2_000_000).expect("fast path drains");
         while slow.cycle() < fast.cycle() {
             slow.step();
@@ -104,7 +105,8 @@ proptest! {
         let cfg = NocConfig::paper_default(mesh);
         let period = burst + gap;
         let cycles = period * 4;
-        let schedule = bursty_schedule(mesh, 0.3, 16, cfg.flit_payload, burst, period, cycles, seed);
+        let burst = Burst { on: burst, period };
+        let schedule = schedule(cfg, Pattern::Uniform, 0.3, 16, Some(burst), cycles, seed);
 
         let mut hybrid = HybridNetwork::new(cfg);
         schedule_hybrid(&mut hybrid, &schedule, 16);
@@ -141,9 +143,8 @@ proptest! {
         // with skips.
         let mesh = Mesh::new(4, 4);
         let cfg = NocConfig::paper_default(mesh);
-        let schedule = hotspot_schedule(
-            mesh, 0.25, 32, cfg.flit_payload, mesh.coord(hotspot), bias, 120, seed,
-        );
+        let hotspot = Pattern::Hotspot { at: mesh.coord(hotspot), bias };
+        let schedule = schedule(cfg, hotspot, 0.25, 32, None, 120, seed);
 
         let mut hybrid = HybridNetwork::new(cfg);
         schedule_hybrid(&mut hybrid, &schedule, 32);

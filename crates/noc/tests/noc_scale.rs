@@ -3,14 +3,19 @@
 //! moves real traffic through the routers. A scaling proof, not a
 //! wall-clock benchmark.
 
-use hic_noc::reference::{bursty_schedule, schedule_hybrid};
-use hic_noc::{HybridNetwork, Mesh, NocConfig, RecordMode};
+use hic_noc::{
+    schedule, schedule_hybrid, Burst, HybridNetwork, Mesh, NocConfig, Pattern, RecordMode,
+};
 
 #[test]
 fn hybrid_engine_drains_a_64x64_bursty_run() {
     let mesh = Mesh::new(64, 64);
     let cfg = NocConfig::paper_default(mesh);
-    let schedule = bursty_schedule(mesh, 0.1, 16, cfg.flit_payload, 4, 10_000, 20_000, 0x5CA1E);
+    let burst = Burst {
+        on: 4,
+        period: 10_000,
+    };
+    let schedule = schedule(cfg, Pattern::Uniform, 0.1, 16, Some(burst), 20_000, 0x5CA1E);
     let mut net = HybridNetwork::new(cfg);
     net.set_record_mode(RecordMode::Stats);
     schedule_hybrid(&mut net, &schedule, 16);

@@ -10,11 +10,9 @@
 //! across the step and hybrid engines — spatial observability is an
 //! observation, never a perturbation.
 
-use hic_noc::reference::{
-    bursty_schedule, drive_schedule, hotspot_schedule, schedule_hybrid, uniform_schedule,
-};
 use hic_noc::{
-    Coord, Direction, FlowTotals, HybridNetwork, Mesh, Network, NocConfig, SpatialConfig, PORTS,
+    drive_schedule, schedule, schedule_hybrid, Burst, Coord, Direction, FlowTotals, HybridNetwork,
+    Mesh, Network, NocConfig, Pattern, SpatialConfig, PORTS,
 };
 use proptest::prelude::*;
 
@@ -66,21 +64,22 @@ fn observe(net: &Network) -> Observed {
 }
 
 fn make_schedule(pattern: u8, seed: u64, offered: f64) -> Vec<(u64, Coord, Coord)> {
-    let mesh = Mesh::new(MESH, MESH);
-    match pattern {
-        0 => uniform_schedule(mesh, offered, 16, 4, CYCLES, seed),
-        1 => hotspot_schedule(
-            mesh,
-            offered,
-            16,
-            4,
-            Coord::new(MESH - 2, MESH / 2),
-            0.7,
-            CYCLES,
-            seed,
-        ),
-        _ => bursty_schedule(mesh, (offered * 3.0).min(1.0), 16, 4, 40, 160, CYCLES, seed),
-    }
+    let cfg = NocConfig::paper_default(Mesh::new(MESH, MESH));
+    let (pattern, offered, burst) = match pattern {
+        0 => (Pattern::Uniform, offered, None),
+        1 => {
+            let at = Coord::new(MESH - 2, MESH / 2);
+            (Pattern::Hotspot { at, bias: 0.7 }, offered, None)
+        }
+        _ => {
+            let burst = Burst {
+                on: 40,
+                period: 160,
+            };
+            (Pattern::Uniform, (offered * 3.0).min(1.0), Some(burst))
+        }
+    };
+    schedule(cfg, pattern, offered, 16, burst, CYCLES, seed)
 }
 
 /// Window-aligned cycle both engines park at before observation, so the

@@ -4,7 +4,7 @@
 //! per-packet accounting exactly. And 1-in-N sampling keeps exactly the
 //! packet ids on the sampling lattice — whole flows, never fragments.
 
-use hic_noc::{Mesh, Network, NocConfig};
+use hic_noc::{drive_schedule, schedule, Mesh, Network, NocConfig, Pattern};
 use hic_obs::trace::{flows, validate, Category, Tracer};
 use std::collections::BTreeMap;
 
@@ -19,7 +19,8 @@ fn trace_flows_reconstruct_stepper_latencies_exactly() {
 
     // Deterministic congested traffic: enough load that latencies vary
     // well beyond the zero-load hop count.
-    hic_noc::reference::drive_uniform(&mut net, mesh, 0.3, 16, cfg.flit_payload, 120, 7);
+    let schedule = schedule(cfg, Pattern::Uniform, 0.3, 16, None, 120, 7);
+    drive_schedule(&mut net, &schedule, 16, 120);
     net.run_until_drained(2_000_000).expect("network drains");
 
     let trace = tracer.take();

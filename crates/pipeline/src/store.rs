@@ -172,13 +172,6 @@ pub struct CacheStats {
     pub per_stage: BTreeMap<String, (u64, u64)>,
 }
 
-impl CacheStats {
-    /// True when every lookup this run was served from the store.
-    pub fn all_hits(&self) -> bool {
-        self.misses == 0 && self.hits > 0
-    }
-}
-
 #[derive(Debug, Default)]
 struct Counters {
     hits: AtomicU64,

@@ -54,27 +54,6 @@ impl CommGraph {
         self.edges.iter().filter(move |e| e.src == f)
     }
 
-    /// Edges entering `f`.
-    pub fn edges_to(&self, f: FunctionId) -> impl Iterator<Item = &GraphEdge> + '_ {
-        self.edges.iter().filter(move |e| e.dst == f)
-    }
-
-    /// Functions ranked by total traffic (in + out), busiest first — the
-    /// view used to pick `L_hw`, the most communication-intensive functions.
-    pub fn rank_by_traffic(&self) -> Vec<(FunctionId, u64)> {
-        let mut totals: BTreeMap<FunctionId, u64> = BTreeMap::new();
-        for i in 0..self.functions.len() {
-            totals.insert(FunctionId::new(i as u32), 0);
-        }
-        for e in &self.edges {
-            *totals.entry(e.src).or_default() += e.bytes;
-            *totals.entry(e.dst).or_default() += e.bytes;
-        }
-        let mut v: Vec<_> = totals.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
     /// Collapse the function-level graph to the kernel-level edge list the
     /// design algorithm consumes.
     ///
@@ -107,28 +86,6 @@ impl CommGraph {
                 umas,
             })
             .collect()
-    }
-
-    /// Drop edges below `min_bytes` — QUAD-style pruning for readable
-    /// graphs of large applications.
-    pub fn prune(&self, min_bytes: u64) -> CommGraph {
-        CommGraph {
-            functions: self.functions.clone(),
-            edges: self
-                .edges
-                .iter()
-                .copied()
-                .filter(|e| e.bytes >= min_bytes)
-                .collect(),
-        }
-    }
-
-    /// The `n` heaviest edges, descending by bytes.
-    pub fn top_edges(&self, n: usize) -> Vec<GraphEdge> {
-        let mut edges = self.edges.clone();
-        edges.sort_by_key(|e| std::cmp::Reverse(e.bytes));
-        edges.truncate(n);
-        edges
     }
 
     /// Render the graph in Graphviz DOT, edges labeled `bytes (UMAs)` —
@@ -259,16 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_by_traffic_orders_busiest_first() {
-        let g = graph();
-        let ranked = g.rank_by_traffic();
-        // main touches 100+60+10+10 = 180 bytes; ka 140; kb 100; aux 20.
-        assert_eq!(ranked[0], (FunctionId::new(0), 180));
-        assert_eq!(ranked[1], (FunctionId::new(1), 140));
-        assert_eq!(ranked[3], (FunctionId::new(3), 20));
-    }
-
-    #[test]
     fn dot_contains_every_node_and_edge() {
         let g = graph();
         let dot = g.to_dot("t");
@@ -280,31 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn prune_drops_light_edges_only() {
-        let g = graph();
-        let p = g.prune(40);
-        assert_eq!(p.edges.len(), 3);
-        assert!(p.edges.iter().all(|e| e.bytes >= 40));
-        assert_eq!(p.functions, g.functions);
-    }
-
-    #[test]
-    fn top_edges_orders_by_weight() {
-        let g = graph();
-        let top = g.top_edges(2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].bytes, 100);
-        assert_eq!(top[1].bytes, 60);
-        assert_eq!(g.top_edges(100).len(), g.edges.len());
-    }
-
-    #[test]
     fn totals() {
         let g = graph();
         assert_eq!(g.total_bytes(), 220);
         assert_eq!(g.bytes(FunctionId::new(1), FunctionId::new(2)), 40);
         assert_eq!(g.bytes(FunctionId::new(2), FunctionId::new(1)), 0);
         assert_eq!(g.edges_from(FunctionId::new(0)).count(), 2);
-        assert_eq!(g.edges_to(FunctionId::new(0)).count(), 2);
     }
 }

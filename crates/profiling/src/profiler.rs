@@ -321,15 +321,6 @@ pub struct FnStats {
     pub calls: u64,
 }
 
-impl FnStats {
-    /// Mean bytes touched (read + written) per call; 0 when never called.
-    pub fn bytes_per_call(&self) -> u64 {
-        (self.bytes_read + self.bytes_written)
-            .checked_div(self.calls)
-            .unwrap_or(0)
-    }
-}
-
 /// The QUAD-style profiler. See the crate docs for the attribution rules.
 #[derive(Debug, Default)]
 pub struct Profiler {
@@ -712,7 +703,7 @@ mod tests {
     }
 
     #[test]
-    fn calls_are_counted_and_averaged() {
+    fn calls_are_counted() {
         let mut p = Profiler::new();
         let a = p.register("a");
         for _ in 0..4 {
@@ -722,8 +713,6 @@ mod tests {
         }
         let st = p.fn_stats(a);
         assert_eq!(st.calls, 4);
-        assert_eq!(st.bytes_per_call(), 8);
-        assert_eq!(FnStats::default().bytes_per_call(), 0);
     }
 
     #[test]

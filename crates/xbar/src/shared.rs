@@ -4,7 +4,6 @@ use hic_fabric::kernel::DataVolumes;
 use hic_fabric::resource::{ComponentKind, Resources};
 use hic_fabric::time::Time;
 use hic_fabric::KernelId;
-use hic_mem::bram::{MemAgent, PortPlan};
 use serde::{Deserialize, Serialize};
 
 /// How a pair of local memories is shared.
@@ -83,18 +82,6 @@ impl SharedMemPair {
     /// bus's per-byte cost.
     pub fn delta_c(&self, theta_ps_per_byte: f64) -> Time {
         Time::from_ps((2.0 * self.bytes as f64 * theta_ps_per_byte).round() as u64)
-    }
-
-    /// Port plan of the *consumer's* local memory under this pairing.
-    /// With the crossbar, the crossbar occupies one port and the bus stays
-    /// reachable through it; directly-shared memories give the spare port
-    /// to the peer kernel.
-    pub fn consumer_port_plan(&self) -> PortPlan {
-        let agents = match self.mode {
-            SharingMode::Crossbar => vec![MemAgent::KernelCore, MemAgent::Crossbar],
-            SharingMode::Direct => vec![MemAgent::KernelCore, MemAgent::PeerKernel],
-        };
-        PortPlan::plan(&agents, 2).expect("two agents on two ports")
     }
 }
 
@@ -189,18 +176,5 @@ mod tests {
         };
         // θ = 1562.5 ps/B → Δc = 2 × 1000 × 1562.5 ps = 3.125 µs.
         assert_eq!(p.delta_c(1562.5), Time::from_ps(3_125_000));
-    }
-
-    #[test]
-    fn consumer_port_plans_fit_dual_port() {
-        for mode in [SharingMode::Crossbar, SharingMode::Direct] {
-            let p = SharedMemPair {
-                producer: KernelId::new(0),
-                consumer: KernelId::new(1),
-                bytes: 10,
-                mode,
-            };
-            assert!(p.consumer_port_plan().is_native());
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example noc_characterization
 //! ```
 
-use hic::noc::{load_sweep, Coord, Mesh, NocConfig, Pattern};
+use hic::noc::{load_point, schedule, Coord, Mesh, NocConfig, Pattern};
 
 fn main() {
     let mesh = Mesh::new(4, 4);
@@ -16,7 +16,13 @@ fn main() {
         ("uniform", Pattern::Uniform),
         ("transpose", Pattern::Transpose),
         ("complement", Pattern::Complement),
-        ("hotspot(0,0)", Pattern::Hotspot(Coord::new(0, 0))),
+        (
+            "hotspot(0,0)",
+            Pattern::Hotspot {
+                at: Coord::new(0, 0),
+                bias: 1.0,
+            },
+        ),
         ("neighbor", Pattern::Neighbor),
     ];
 
@@ -26,10 +32,14 @@ fn main() {
         "pattern", "offered", "mean lat", "p99", "thpt B/cyc"
     );
     for (name, pattern) in patterns {
-        for p in load_sweep(cfg, pattern, &loads, 16, 300, 1_500, 99) {
+        // 300 warmup + 1500 measured cycles per point; each point seeds
+        // its own schedule so it reproduces on its own.
+        for (i, offered) in loads.into_iter().enumerate() {
+            let s = schedule(cfg, pattern, offered, 16, None, 1_800, 99 ^ i as u64);
+            let p = load_point(cfg, &s, 16, 300, 1_500);
             println!(
                 "{:<14} {:>8.2} {:>12.1} {:>10} {:>12.1}",
-                name, p.offered, p.mean_latency, p.p99_latency, p.throughput
+                name, offered, p.mean_latency, p.p99_latency, p.throughput
             );
         }
     }

@@ -1,10 +1,9 @@
-//! Second property suite: the knob lattice, plan invariants, BRAM
-//! banking, the synthetic generator and flit-level co-simulation hold
-//! under randomized inputs.
+//! Second property suite: the knob lattice, plan invariants, the
+//! synthetic generator and flit-level co-simulation hold under
+//! randomized inputs.
 
 use hic::core::{design_custom, DesignConfig, DesignKnobs, Variant};
 use hic::fabric::synthetic::{generate, Shape, SyntheticSpec};
-use hic::mem::plan_banks;
 use hic::sim::{cosimulate, simulate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -71,23 +70,6 @@ proptest! {
         if !knobs.duplication {
             prop_assert!(plan.duplicated.is_empty());
         }
-    }
-
-    #[test]
-    fn banking_always_covers_and_never_explodes(
-        bytes in 1u64..(1 << 21),
-        width in prop_oneof![Just(8u32), Just(16), Just(32), Just(64), Just(128)],
-    ) {
-        let p = plan_banks(bytes, width);
-        prop_assert!(p.bytes >= bytes);
-        prop_assert!(p.blocks_wide * p.shape.0 >= width);
-        // Never more than 4x overprovisioned beyond one block's rounding.
-        let min_blocks = ((bytes * 8).div_ceil(36_864)).max(1);
-        prop_assert!(
-            (p.blocks() as u64) <= min_blocks * 4 + 4,
-            "{bytes}B@{width}b -> {} blocks (min {min_blocks})",
-            p.blocks()
-        );
     }
 
     #[test]
